@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -92,7 +93,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
+def _check_config_value(action: argparse.Action, key: str, val) -> None:
+    """A config value must have the type and lie among the choices of the
+    flag that sets the same field."""
+    kind = bool if action.nargs == 0 else action.type or str
+    ok = isinstance(val, (int, float) if kind is float else kind)
+    ok = ok and (kind is bool or not isinstance(val, bool))  # bool is an int subclass
+    if not ok or (action.choices and val not in action.choices):
+        expected = "one of " + ", ".join(action.choices) if action.choices else kind.__name__
+        raise InputError(f"config key {key!r} must be {expected}, got {val!r}", key=key)
+
+
+def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
     values = {}
     if getattr(args, "config", None):
         try:
@@ -103,11 +115,14 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             raise InputError(f"config {args.config} must hold a JSON object")
     config = RunConfig(command=args.command)
     known = {f.name for f in fields(RunConfig)}
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in sub.choices[args.command]._actions}
     for key, val in values.items():
         if key == "command":
             continue
         if key not in known:
             raise InputError(f"unknown config key {key!r}")
+        _check_config_value(flags[key], key, val)
         setattr(config, key, val)
     for f in fields(RunConfig):
         flag = getattr(args, f.name, None)
@@ -323,13 +338,17 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        config = _merge_config(args)
+        config = _merge_config(args, parser)
         return run(config)
     except GneumannError as e:
-        payload = {"code": e.code, "message": str(e), "context": getattr(e, "context", {})}
-        print(json.dumps(payload, sort_keys=True, default=str), file=sys.stderr)
+        # non-finite floats as strings keep the error object strict JSON
+        context = {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
+                   for k, v in getattr(e, "context", {}).items()}
+        payload = {"code": e.code, "message": str(e), "context": context}
+        print(json.dumps(payload, sort_keys=True, default=str, allow_nan=False), file=sys.stderr)
         return 1
     except OSError as e:
         payload = {"code": "InputError", "message": str(e), "context": {}}

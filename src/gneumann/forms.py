@@ -1,8 +1,9 @@
 """Energy form, graph Laplacians, and the boundary normal derivative.
 
-All evaluations are exact dense sums; no thresholding of small weights.
-Functions defined on the wrong vertex set are a hard error, never
-zero-extended.
+Each form is one array expression over the graph's CSR arrays (every
+edge stored in both directions, so sums over stored entries count each
+unordered pair twice); no thresholding of small weights.  Functions
+defined on the wrong vertex set are a hard error, never zero-extended.
 """
 
 from __future__ import annotations
@@ -66,15 +67,19 @@ def _as_function(f) -> VertexFunction:
     return VertexFunction(dict(f))
 
 
+def _laplacian(g: WeightedGraph, fv: np.ndarray) -> np.ndarray:
+    """sum_y b(x,y) (f(x) - f(y)) at every vertex x; exactly zero on
+    constants."""
+    terms = g.data * (fv[g.rows] - fv[g.indices])
+    return np.bincount(g.rows, weights=terms, minlength=g.n).astype(float, copy=False)
+
+
 def energy(g: WeightedGraph, u) -> float:
     """Dirichlet energy: half the weighted sum of squared differences
     over all ordered vertex pairs."""
     uv = _as_function(u).to_vector(g.vertices)
-    total = 0.0
-    for x, y, w in g.edges():
-        d = uv[g.index(x)] - uv[g.index(y)]
-        total += w * d * d
-    return total  # each unordered pair counted once = half the ordered sum
+    d = uv[g.rows] - uv[g.indices]
+    return 0.5 * float(np.sum(g.data * (d * d)))
 
 
 def energy_bilinear(g: WeightedGraph, u, v) -> float:
@@ -82,29 +87,24 @@ def energy_bilinear(g: WeightedGraph, u, v) -> float:
     diagonal."""
     uv = _as_function(u).to_vector(g.vertices)
     vv = _as_function(v).to_vector(g.vertices)
-    total = 0.0
-    for x, y, w in g.edges():
-        i, j = g.index(x), g.index(y)
-        total += w * (uv[i] - uv[j]) * (vv[i] - vv[j])
-    return total
+    du = uv[g.rows] - uv[g.indices]
+    dv = vv[g.rows] - vv[g.indices]
+    return 0.5 * float(np.sum(g.data * (du * dv)))
 
 
 def formal_laplacian(g: WeightedGraph, m: Measure, f) -> VertexFunction:
     """Measure-normalized graph Laplacian applied pointwise:
     (1/m(x)) * sum_y b(x,y) (f(x) - f(y))."""
     fv = _as_function(f).to_vector(g.vertices)
-    mv = m.to_vector(g.vertices)
-    out = (g.laplacian_matrix @ fv) / mv
-    return VertexFunction.from_vector(g.vertices, out)
+    return VertexFunction.from_vector(g.vertices, _laplacian(g, fv) / m.to_vector(g.vertices))
 
 
 def interior_laplacian(sub: SubgraphClosure, f) -> VertexFunction:
     """Laplacian on the closure graph, forced to zero on the boundary."""
-    lf = formal_laplacian(sub.graph, sub.measure, f)
-    vals = lf.values
-    for y in sub.boundary:
-        vals[y] = 0.0
-    return VertexFunction(vals)
+    g = sub.graph
+    out = _laplacian(g, _as_function(f).to_vector(g.vertices)) / sub.measure_vector
+    out[sub.boundary_index] = 0.0
+    return VertexFunction.from_vector(g.vertices, out)
 
 
 def normal_derivative(sub: SubgraphClosure, u) -> VertexFunction:
@@ -115,15 +115,9 @@ def normal_derivative(sub: SubgraphClosure, u) -> VertexFunction:
     over all neighbors, since boundary-boundary weights vanish.
     """
     g = sub.graph
-    uv = _as_function(u).to_vector(g.vertices)
-    out = {}
-    for x in sub.boundary:
-        i = g.index(x)
-        acc = 0.0
-        for y in g.neighbors(x):
-            acc += g.weight(x, y) * (uv[i] - uv[g.index(y)])
-        out[x] = acc / sub.measure[x]
-    return VertexFunction(out)
+    b = sub.boundary_index
+    lap = _laplacian(g, _as_function(u).to_vector(g.vertices))
+    return VertexFunction.from_vector(sub.boundary, lap[b] / sub.measure_vector[b])
 
 
 def markov_contraction(u) -> VertexFunction:

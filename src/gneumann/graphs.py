@@ -3,14 +3,19 @@
 A graph is a symmetric nonnegative edge-weight function with vanishing
 diagonal over an ordered finite vertex set.  Vertices carry opaque string
 identifiers; all numeric kernels work on the dense indices 0..n-1 assigned
-at construction.  Zero-weight entries are dropped (zero weight means "no
-edge").  All types are immutable after construction.
+at construction.  The weights are stored once, as symmetric CSR arrays
+(``indptr``, ``indices``, ``data``, columns ascending within each row)
+beside the degree vector; vertex strings appear only in ``vertices``,
+``index`` and the per-vertex accessors.  The vertex boundary and the
+closure are mask operations on these arrays, and connectivity is a
+depth-first search over their rows.  Zero-weight entries are dropped
+(zero weight means "no edge").  All types are immutable after
+construction.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -44,10 +49,12 @@ def _as_vertex(v) -> str:
 
 
 class WeightedGraph:
-    """Symmetric edge weights over an ordered finite vertex set.
+    """Symmetric edge weights over an ordered finite vertex set, in CSR form.
 
-    Edges are stored once per unordered pair; weighted degrees are
-    precomputed.  Instances are immutable and safe to share.
+    ``indptr``, ``indices`` and ``data`` hold every positive-weight edge in
+    both directions, columns ascending within each row; ``rows`` holds the
+    row of each entry beside ``indices`` and ``deg`` the weighted degrees.
+    The arrays are read-only and instances are safe to share.
     """
 
     def __init__(self, vertices: Sequence, edges: Iterable[tuple]):
@@ -55,47 +62,46 @@ class WeightedGraph:
         if len(set(verts)) != len(verts):
             raise UnknownVertexError("duplicate vertex identifiers", vertices=verts)
         index = {v: i for i, v in enumerate(verts)}
+        triples = [(_as_vertex(x), _as_vertex(y), float(w)) for x, y, w in edges]
+        i = np.array([index.get(t[0], -1) for t in triples], dtype=np.intp)
+        j = np.array([index.get(t[1], -1) for t in triples], dtype=np.intp)
+        w = np.array([t[2] for t in triples], dtype=float)
 
-        pairs: dict[tuple[str, str], float] = {}
-        for x, y, w in edges:
-            x, y = _as_vertex(x), _as_vertex(y)
-            if x not in index:
-                raise UnknownVertexError(f"unknown vertex {x!r} in edge list", vertex=x)
-            if y not in index:
-                raise UnknownVertexError(f"unknown vertex {y!r} in edge list", vertex=y)
-            w = float(w)
-            if not math.isfinite(w) or w < 0:
-                raise NegativeWeightError(
-                    f"edge ({x!r},{y!r}) has invalid weight {w}", x=x, y=y, weight=w
-                )
-            if x == y:
-                if w > 0:
-                    raise SelfLoopError(f"self-loop at {x!r} with weight {w}", vertex=x)
-                continue
-            key = (x, y) if index[x] < index[y] else (y, x)
-            if key in pairs and pairs[key] != w:
-                raise AsymmetricDuplicateError(
-                    f"conflicting weights for edge {key}: {pairs[key]} vs {w}",
-                    x=key[0], y=key[1], first=pairs[key], second=w,
-                )
-            if w > 0:
-                pairs[key] = w
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        known = lo >= 0
+        loop = known & (i == j)
+        bad_weight = ~(np.isfinite(w) & (w >= 0))
+        pair = known & ~loop & ~bad_weight
+        n = len(verts)
+        key = lo * n + hi
+        positive = np.flatnonzero(pair & (w > 0))
+        keys, first = np.unique(key[positive], return_index=True)
+        kept = np.sort(positive[first])  # first appearance of each pair, in input order
+        # an edge conflicts with the first positive weight given for its pair;
+        # the sentinel key n*n lies above every pair key
+        keys = np.append(keys, n * n)
+        slot = np.searchsorted(keys, key)
+        prior = np.append(positive[first], 0)[slot]
+        conflict = pair & (keys[slot] == key) & (prior < np.arange(len(key))) & (w != w[prior])
+        bad = ~known | bad_weight | (loop & (w > 0)) | conflict
+        if bad.any():
+            k = int(np.argmax(bad))
+            _raise_edge_error(triples[k], index, float(w[prior[k]]))
 
+        # degrees accumulate over the interleaved endpoints in input order,
+        # which fixes their rounding
+        lo, hi, w = lo[kept], hi[kept], w[kept]
+        self.deg = np.bincount(np.column_stack((lo, hi)).ravel(), weights=np.repeat(w, 2),
+                               minlength=n).astype(float, copy=False)
+        rows, cols = np.concatenate((lo, hi)), np.concatenate((hi, lo))
+        order = np.lexsort((cols, rows))
+        self.rows, self.indices = rows[order], cols[order]
+        self.data = np.concatenate((w, w))[order]
+        self.indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+        for a in (self.deg, self.rows, self.indices, self.data, self.indptr):
+            a.flags.writeable = False
         self._vertices = verts
         self._index = index
-        self._pairs = pairs
-
-        n = len(verts)
-        degrees = np.zeros(n)
-        adjacency: list[list[int]] = [[] for _ in range(n)]
-        for (x, y), w in pairs.items():
-            i, j = index[x], index[y]
-            degrees[i] += w
-            degrees[j] += w
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-        self._degrees = degrees
-        self._adjacency = tuple(tuple(sorted(a)) for a in adjacency)
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -117,56 +123,66 @@ class WeightedGraph:
 
     def weight(self, x, y) -> float:
         i, j = self.index(x), self.index(y)
-        if i == j:
-            return 0.0
-        key = (self._vertices[i], self._vertices[j]) if i < j else (self._vertices[j], self._vertices[i])
-        return self._pairs.get(key, 0.0)
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        k = lo + int(np.searchsorted(self.indices[lo:hi], j))
+        return float(self.data[k]) if k < hi and self.indices[k] == j else 0.0
 
     def degree(self, x) -> float:
         """Weighted degree: the sum of edge weights at ``x``."""
-        return float(self._degrees[self.index(x)])
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return self._degrees.copy()
+        return float(self.deg[self.index(x)])
 
     def neighbors(self, x) -> tuple[str, ...]:
-        return tuple(self._vertices[j] for j in self._adjacency[self.index(x)])
+        i = self.index(x)
+        return tuple(self._vertices[j] for j in self.indices[self.indptr[i]:self.indptr[i + 1]].tolist())
 
     def edges(self) -> Iterable[tuple[str, str, float]]:
-        """Each positive-weight edge once, as (x, y, weight)."""
-        for (x, y), w in sorted(self._pairs.items(), key=lambda kv: (self._index[kv[0][0]], self._index[kv[0][1]])):
-            yield x, y, w
-
-    @cached_property
-    def weight_matrix(self) -> np.ndarray:
-        """Dense symmetric matrix B with B[i,j] = b(v_i, v_j)."""
-        n = self.n
-        B = np.zeros((n, n))
-        for (x, y), w in self._pairs.items():
-            i, j = self._index[x], self._index[y]
-            B[i, j] = w
-            B[j, i] = w
-        B.flags.writeable = False
-        return B
+        """Each positive-weight edge once, as (x, y, weight), ascending in
+        (index(x), index(y))."""
+        up = self.rows < self.indices
+        for i, j, w in zip(self.rows[up].tolist(), self.indices[up].tolist(), self.data[up].tolist()):
+            yield self._vertices[i], self._vertices[j], w
 
     @cached_property
     def laplacian_matrix(self) -> np.ndarray:
         """Unweighted-by-measure Laplacian: diag(degrees) - weight matrix."""
-        L = np.diag(self._degrees) - self.weight_matrix
+        L = np.zeros((self.n, self.n))
+        L[self.rows, self.indices] = -self.data
+        np.fill_diagonal(L, self.deg)
         L.flags.writeable = False
         return L
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGraph):
             return NotImplemented
-        return self._vertices == other._vertices and self._pairs == other._pairs
+        return (self._vertices == other._vertices and np.array_equal(self.indptr, other.indptr)
+                and np.array_equal(self.indices, other.indices)
+                and np.array_equal(self.data, other.data))
 
     def __hash__(self):
-        return hash((self._vertices, tuple(sorted(self._pairs.items()))))
+        return hash((self._vertices, self.indptr.tobytes(), self.indices.tobytes(), self.data.tobytes()))
 
     def __repr__(self):
-        return f"WeightedGraph(n={self.n}, edges={len(self._pairs)})"
+        return f"WeightedGraph(n={self.n}, edges={len(self.data) // 2})"
+
+
+def _raise_edge_error(edge: tuple, index: dict, first: float):
+    """Raise the error for the first invalid edge, checked in input order."""
+    x, y, w = edge
+    if x not in index:
+        raise UnknownVertexError(f"unknown vertex {x!r} in edge list", vertex=x)
+    if y not in index:
+        raise UnknownVertexError(f"unknown vertex {y!r} in edge list", vertex=y)
+    if not math.isfinite(w) or w < 0:
+        raise NegativeWeightError(
+            f"edge ({x!r},{y!r}) has invalid weight {w}", x=x, y=y, weight=w
+        )
+    if x == y:
+        raise SelfLoopError(f"self-loop at {x!r} with weight {w}", vertex=x)
+    key = (x, y) if index[x] < index[y] else (y, x)
+    raise AsymmetricDuplicateError(
+        f"conflicting weights for edge {key}: {first} vs {w}",
+        x=key[0], y=key[1], first=first, second=w,
+    )
 
 
 class Measure:
@@ -241,7 +257,9 @@ class SubgraphClosure:
 
     The closure graph keeps every weight with at least one endpoint in the
     interior and zeroes all boundary-boundary weights.  Construction
-    enforces connectivity of the closure graph.
+    enforces connectivity of the closure graph.  ``measure_vector`` and
+    ``boundary_index`` are the measure and the boundary in the closure
+    graph's vertex order, computed once.
     """
 
     def __init__(self, interior: Sequence[str], boundary: Sequence[str],
@@ -252,6 +270,10 @@ class SubgraphClosure:
         self._measure = measure
         self._interior_set = frozenset(self._interior)
         self._boundary_set = frozenset(self._boundary)
+        self.measure_vector = measure.to_vector(graph.vertices)
+        self.boundary_index = np.array([graph.index(y) for y in self._boundary], dtype=np.intp)
+        for a in (self.measure_vector, self.boundary_index):
+            a.flags.writeable = False
 
     @property
     def interior(self) -> tuple[str, ...]:
@@ -305,48 +327,50 @@ def build_graph(vertices: Sequence, edges: Iterable[tuple]) -> WeightedGraph:
 
 def is_connected(g: WeightedGraph) -> bool:
     """True iff every vertex pair is joined by a chain of positive weights."""
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         return True
-    seen = [False] * n
+    # depth-first over the CSR rows: linear in n + nnz whatever the graph's
+    # diameter, where a level-by-level array search pays per level
+    indptr, indices = g.indptr.tolist(), g.indices.tolist()
+    seen = [False] * g.n
     seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        i = queue.popleft()
-        for j in g._adjacency[i]:
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in indices[indptr[i]:indptr[i + 1]]:
             if not seen[j]:
                 seen[j] = True
-                count += 1
-                queue.append(j)
-    return count == n
+                stack.append(j)
+    return all(seen)
 
 
-def _check_interior(g: WeightedGraph, interior: Iterable) -> list[str]:
+def _check_interior(g: WeightedGraph, interior: Iterable) -> np.ndarray:
+    """Interior as a vertex mask, after the domain checks."""
     aset = {_as_vertex(v) for v in interior}
     if not aset:
         raise EmptyInteriorError("interior vertex set is empty")
     for v in aset:
         if v not in g:
             raise UnknownVertexError(f"interior vertex {v!r} not in graph", vertex=v)
-    if aset == set(g.vertices):
+    if len(aset) == g.n:
         raise InteriorIsWholeGraphError(
             "interior equals the whole vertex set; no boundary exists"
         )
-    return [v for v in g.vertices if v in aset]
+    inside = np.zeros(g.n, dtype=bool)
+    inside[[g.index(v) for v in aset]] = True
+    return inside
+
+
+def _boundary_mask(g: WeightedGraph, inside: np.ndarray) -> np.ndarray:
+    touched = np.zeros(g.n, dtype=bool)
+    touched[g.indices[inside[g.rows]]] = True
+    return touched & ~inside
 
 
 def vertex_boundary(g: WeightedGraph, interior: Iterable) -> tuple[str, ...]:
     """Vertices outside the interior with a positive-weight edge into it."""
-    A = _check_interior(g, interior)
-    aset = set(A)
-    out = []
-    for v in g.vertices:
-        if v in aset:
-            continue
-        if any(u in aset for u in g.neighbors(v)):
-            out.append(v)
-    return tuple(out)
+    boundary = _boundary_mask(g, _check_interior(g, interior))
+    return tuple(g.vertices[i] for i in np.flatnonzero(boundary).tolist())
 
 
 def closure_subgraph(g: WeightedGraph, interior: Iterable, m: Measure) -> SubgraphClosure:
@@ -356,22 +380,25 @@ def closure_subgraph(g: WeightedGraph, interior: Iterable, m: Measure) -> Subgra
     Raises ``DisconnectedClosureError`` if the induced graph is not
     connected; the boundary-value machinery assumes it is.
     """
-    A = _check_interior(g, interior)
-    boundary = vertex_boundary(g, A)
-    aset = set(A)
-    closure_order = list(A) + list(boundary)
+    inside = _check_interior(g, interior)
+    V = g.vertices
+    A = [V[i] for i in np.flatnonzero(inside).tolist()]
+    boundary = [V[i] for i in np.flatnonzero(_boundary_mask(g, inside)).tolist()]
 
     # any positive edge with one endpoint interior has its other endpoint in
-    # the closure by definition of the vertex boundary
-    edges = [(x, y, w) for x, y, w in g.edges() if x in aset or y in aset]
-    induced = WeightedGraph(closure_order, edges)
+    # the closure by definition of the vertex boundary; the kept edges go in
+    # the ambient (i, j) order, so the closure degrees round as before
+    rows, cols = g.rows, g.indices
+    kept = (rows < cols) & (inside[rows] | inside[cols])
+    induced = WeightedGraph(A + boundary, [(V[i], V[j], w) for i, j, w in zip(
+        rows[kept].tolist(), cols[kept].tolist(), g.data[kept].tolist())])
     if not is_connected(induced):
         raise DisconnectedClosureError(
             "closure graph is disconnected (boundary-boundary edges removed)",
-            interior=A, boundary=list(boundary),
+            interior=A, boundary=boundary,
         )
     try:
-        m_closure = m.restrict(closure_order)
+        m_closure = m.restrict(A + boundary)
     except UnknownVertexError as e:
         raise DomainMismatchError(
             "measure is not defined on the whole closure", cause=str(e)

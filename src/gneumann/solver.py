@@ -7,9 +7,14 @@ once centered in the ambient measure.
 
 Three analytic routes are provided (direct augmented solve, Green-kernel
 summation, truncated heat-semigroup time integral) plus a variant where
-the boundary is any designated vertex set carrying its own finite measure.
-All routes return the same centered solution up to numerical tolerance,
-which the test suites exploit as a cross-check.
+the boundary is any designated vertex set carrying its own finite measure
+mu.  The variant is the core: the direct vertex-boundary route is the
+boundary-measure solve on the closure graph with mu = m restricted to
+the vertex boundary, and one residual routine serves every route and
+``verify_solution``.  The linear algebra is dense, on the Laplacian
+filled from the graph's CSR arrays.  All routes return the same centered
+solution up to numerical tolerance, which the test suites exploit as a
+cross-check.
 """
 
 from __future__ import annotations
@@ -26,12 +31,13 @@ from .errors import (
     IncompatibleDataError,
     NonpositiveToleranceError,
 )
-from .forms import VertexFunction, interior_laplacian, normal_derivative
+from .forms import VertexFunction
 from .graphs import Measure, SubgraphClosure, WeightedGraph, is_connected
 from .spectral import (
     Spectrum,
     check_spectrum_matches,
     green_kernel,
+    heat_time_integral,
     mixing_constants,
 )
 
@@ -144,21 +150,29 @@ def _require_compatible(phi: BoundaryData) -> None:
         )
 
 
-def _diagnostics(sub: SubgraphClosure, u: VertexFunction, phi: BoundaryData):
-    interior_res = interior_laplacian(sub, u)
-    res_int = max((abs(interior_res[x]) for x in sub.interior), default=0.0)
-    nd = normal_derivative(sub, u)
-    res_bd = max(abs(nd[y] - phi.values[y]) for y in sub.boundary)
-    mv = sub.measure.to_vector(sub.closure)
-    centering = float(u.to_vector(sub.closure) @ mv)
-    return res_int, res_bd, centering
+def _residuals(g: WeightedGraph, mv: np.ndarray, bidx: np.ndarray, flux: np.ndarray,
+               muv: np.ndarray, uvec: np.ndarray) -> tuple[float, float, float]:
+    """Laplacian residual off the boundary, weak-identity mismatch
+    |(Lu)(y) - phi(y) mu(y)| / mu(y) on it, and the centering total."""
+    lap = g.laplacian_matrix @ uvec
+    off = np.ones(g.n, dtype=bool)
+    off[bidx] = False
+    res_int = float(np.max(np.abs(lap[off]) / mv[off], initial=0.0))
+    res_bd = float(np.max(np.abs(lap[bidx] - flux * muv) / muv))
+    return res_int, res_bd, float(uvec @ mv)
 
 
-def _finish(sub, uvec, phi, method, horizon=None) -> NeumannSolution:
-    u = VertexFunction.from_vector(sub.closure, uvec)
-    res_int, res_bd, centering = _diagnostics(sub, u, phi)
+def _closure_problem(sub: SubgraphClosure, phi: BoundaryData) -> tuple:
+    """The arguments of ``_residuals`` for a closure, whose boundary
+    measure is m restricted to the boundary."""
+    b = sub.boundary_index
+    return sub.graph, sub.measure_vector, b, phi.values.to_vector(sub.boundary), sub.measure_vector[b]
+
+
+def _finish(problem: tuple, uvec, method, horizon=None) -> NeumannSolution:
+    res_int, res_bd, centering = _residuals(*problem, uvec)
     return NeumannSolution(
-        u=u,
+        u=VertexFunction.from_vector(problem[0].vertices, uvec),
         method=method,
         residual_interior=res_int,
         residual_boundary=res_bd,
@@ -167,32 +181,11 @@ def _finish(sub, uvec, phi, method, horizon=None) -> NeumannSolution:
     )
 
 
-def _augmented_solve(laplacian: np.ndarray, mv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the singular symmetric system with the centering row appended
-    as a Lagrange constraint; returns the centered solution."""
-    n = laplacian.shape[0]
-    K = np.zeros((n + 1, n + 1))
-    K[:n, :n] = laplacian
-    K[:n, n] = mv
-    K[n, :n] = mv
-    b = np.zeros(n + 1)
-    b[:n] = rhs
-    sol = scipy.linalg.solve(K, b, assume_a="sym")
-    return sol[:n]
-
-
 def solve_direct(sub: SubgraphClosure, phi) -> NeumannSolution:
-    """Direct route: one augmented linear solve of the closure Laplacian
-    with the boundary data as right-hand side and exact centering."""
+    """Direct route: the boundary-measure solve on the closure graph with
+    mu the ambient measure restricted to the vertex boundary."""
     phi = _coerce_boundary_data(sub, phi)
-    _require_compatible(phi)
-    g = sub.graph
-    mv = sub.measure.to_vector(sub.closure)
-    rhs = np.zeros(g.n)
-    for y in sub.boundary:
-        rhs[g.index(y)] = phi.values[y] * sub.measure[y]
-    uvec = _augmented_solve(g.laplacian_matrix, mv, rhs)
-    return _finish(sub, uvec, phi, "direct")
+    return solve_boundary_measure(sub.graph, sub.boundary, sub.measure, sub.boundary_measure(), phi)
 
 
 def solve_green(sub: SubgraphClosure, phi, spec: Spectrum) -> NeumannSolution:
@@ -207,15 +200,15 @@ def solve_green(sub: SubgraphClosure, phi, spec: Spectrum) -> NeumannSolution:
     uvec = np.zeros(g.n)
     for y in sub.boundary:
         uvec += phi.values[y] * sub.measure[y] * G[:, g.index(y)]
-    return _finish(sub, uvec, phi, "green")
+    return _finish(_closure_problem(sub, phi), uvec, "green")
 
 
 def solve_heat_integral(sub: SubgraphClosure, phi, spec: Spectrum, tol: float) -> NeumannSolution:
-    """Heat-semigroup route: integrate the centered kernel against the
-    boundary data up to a horizon T, per eigenmode in closed form.
+    """Heat-semigroup route: the time integral of the heat semigroup
+    applied to the boundary data, up to a horizon T, then recentered.
 
     T is chosen from the mixing bound so the neglected tail is below
-    ``tol`` in sup norm; the result is recentered.
+    ``tol`` in sup norm.
     """
     phi = _coerce_boundary_data(sub, phi)
     check_spectrum_matches(spec, sub.graph, sub.measure)
@@ -226,7 +219,7 @@ def solve_heat_integral(sub: SubgraphClosure, phi, spec: Spectrum, tol: float) -
     g = sub.graph
     mass = sum(abs(phi.values[y]) * sub.measure[y] for y in sub.boundary)
     if mass == 0.0:
-        return _finish(sub, np.zeros(g.n), phi, "heat-integral", horizon=0.0)
+        return _finish(_closure_problem(sub, phi), np.zeros(g.n), "heat-integral", horizon=0.0)
 
     c1, c2 = mixing_constants(spec, 1e-9)
     # tail of the time integral beyond T is bounded by c1 * mass * e^{-c2 T} / c2
@@ -235,17 +228,10 @@ def solve_heat_integral(sub: SubgraphClosure, phi, spec: Spectrum, tol: float) -
 
     # phi extended by zero to the closure, as dictated by the boundary sum
     fvec = np.zeros(g.n)
-    for y in sub.boundary:
-        fvec[g.index(y)] = phi.values[y]
-    coef = spec.coefficients(fvec)
-    k0 = spec.n_zero_modes
-    lam = spec.eigenvalues[k0:]
-    weights = -np.expm1(-lam * T) / lam
-    uvec = spec.basis[:, k0:] @ (weights * coef[k0:])
-
-    mv = sub.measure.to_vector(sub.closure)
-    uvec -= (uvec @ mv) / sub.measure.total
-    return _finish(sub, uvec, phi, "heat-integral", horizon=T)
+    fvec[sub.boundary_index] = phi.values.to_vector(sub.boundary)
+    uvec = heat_time_integral(spec, fvec, T).to_vector(sub.closure)
+    uvec -= (uvec @ sub.measure_vector) / sub.measure.total
+    return _finish(_closure_problem(sub, phi), uvec, "heat-integral", horizon=T)
 
 
 def solve_boundary_measure(g: WeightedGraph, boundary, m: Measure, mu: Measure, phi) -> NeumannSolution:
@@ -255,9 +241,10 @@ def solve_boundary_measure(g: WeightedGraph, boundary, m: Measure, mu: Measure, 
     The solution is the centered u with vanishing Laplacian off the
     boundary and m(y) * (Laplacian u)(y) = phi(y) mu(y) on it, i.e. the
     weak identity Q(u, v) = sum phi v dmu specialized to indicators.
-    Compatibility is centering against mu.  With mu equal to the ambient
-    measure restricted to the vertex boundary of a closure this
-    reproduces ``solve_direct``.
+    Compatibility is centering against mu.  The vertex-boundary problem
+    of a closure is the case of the closure graph with mu the ambient
+    measure restricted to the vertex boundary, which is how
+    ``solve_direct`` calls it.
     """
     boundary = tuple(str(v) for v in boundary)
     if not boundary:
@@ -285,31 +272,19 @@ def solve_boundary_measure(g: WeightedGraph, boundary, m: Measure, mu: Measure, 
     _require_compatible(data)
 
     mv = m.to_vector(g.vertices)
-    rhs = np.zeros(g.n)
-    for y in boundary:
-        rhs[g.index(y)] = data.values[y] * mu[y]
-    uvec = _augmented_solve(g.laplacian_matrix, mv, rhs)
-
-    u = VertexFunction.from_vector(g.vertices, uvec)
-    # diagnostics: Laplacian residual off the boundary, weak-identity
-    # mismatch on it, both in the mu-weighted normalization
-    lap = g.laplacian_matrix @ uvec
-    res_int = 0.0
-    res_bd = 0.0
-    bset = set(boundary)
-    for i, x in enumerate(g.vertices):
-        if x in bset:
-            res_bd = max(res_bd, abs(lap[i] - data.values[x] * mu[x]) / mu[x])
-        else:
-            res_int = max(res_int, abs(lap[i]) / mv[i])
-    centering = float(uvec @ mv)
-    return NeumannSolution(
-        u=u,
-        method="direct",
-        residual_interior=res_int,
-        residual_boundary=res_bd,
-        centering=centering,
-    )
+    bidx = np.array([g.index(y) for y in boundary], dtype=np.intp)
+    flux = values.to_vector(boundary)
+    muv = mu.to_vector(boundary)
+    # the singular symmetric system with the centering row appended as a
+    # Lagrange constraint; its solution is the centered u
+    n = g.n
+    K = np.zeros((n + 1, n + 1))
+    K[:n, :n] = g.laplacian_matrix
+    K[:n, n] = K[n, :n] = mv
+    b = np.zeros(n + 1)
+    b[bidx] = flux * muv
+    uvec = scipy.linalg.solve(K, b, assume_a="sym")[:n]
+    return _finish((g, mv, bidx, flux, muv), uvec, "direct")
 
 
 def verify_solution(sub: SubgraphClosure, sol: NeumannSolution, phi, tol: float = 1e-9) -> SolutionReport:
@@ -319,7 +294,7 @@ def verify_solution(sub: SubgraphClosure, sol: NeumannSolution, phi, tol: float 
     the centering total, with a pass/fail verdict against ``tol``.
     """
     phi = _coerce_boundary_data(sub, phi)
-    res_int, res_bd, centering = _diagnostics(sub, sol.u, phi)
+    res_int, res_bd, centering = _residuals(*_closure_problem(sub, phi), sol.u.to_vector(sub.closure))
     passed = res_int <= tol and res_bd <= tol and abs(centering) <= tol * max(1.0, sub.measure.total)
     return SolutionReport(
         residual_interior=res_int,

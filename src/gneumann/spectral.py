@@ -10,6 +10,7 @@ desk scale (up to a few thousand vertices).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,13 +65,6 @@ class Spectrum:
         if self.n_zero_modes >= len(self.eigenvalues):
             raise DisconnectedError("no nonzero eigenvalue: graph is a single point or disconnected")
         return float(self.eigenvalues[self.n_zero_modes])
-
-    def eigenfunction(self, k: int) -> VertexFunction:
-        return VertexFunction.from_vector(self.vertices, self.basis[:, k])
-
-    @property
-    def eigenfunctions(self) -> list[VertexFunction]:
-        return [self.eigenfunction(k) for k in range(len(self.eigenvalues))]
 
     def coefficients(self, f) -> np.ndarray:
         """Expansion coefficients of f in the eigenbasis (m-weighted)."""
@@ -143,8 +137,8 @@ def eigendecompose(g: WeightedGraph, m: Measure) -> Spectrum:
 
 def _check_time(t: float) -> float:
     t = float(t)
-    if not t > 0:
-        raise NonpositiveTimeError(f"time must be positive, got {t}", time=t)
+    if not 0 < t < math.inf:
+        raise NonpositiveTimeError(f"time must be positive and finite, got {t}", time=t)
     return t
 
 

@@ -87,20 +87,19 @@ class MCEstimate:
 
 
 class _ChainParams:
-    """Per-vertex jump data precomputed from a graph and measure."""
+    """Per-vertex jump data sliced from the graph's CSR rows."""
 
     def __init__(self, g: WeightedGraph, m: Measure):
         self.vertices = g.vertices
-        self.rates = []
+        deg = g.deg.tolist()
+        self.rates = [d / m[x] for d, x in zip(deg, g.vertices)]
         self.neighbors = []
         self.cumprobs = []
-        for x in g.vertices:
-            deg = g.degree(x)
-            self.rates.append(deg / m[x])
-            nbrs = g.neighbors(x)
-            self.neighbors.append([g.index(y) for y in nbrs])
-            if deg > 0:
-                cum = np.cumsum([g.weight(x, y) for y in nbrs]) / deg
+        for i, d in enumerate(deg):
+            lo, hi = g.indptr[i], g.indptr[i + 1]
+            self.neighbors.append(g.indices[lo:hi].tolist())
+            if d > 0:
+                cum = np.cumsum(g.data[lo:hi]) / d
                 cum[-1] = 1.0  # guard against roundoff undershoot
                 self.cumprobs.append(cum.tolist())
             else:
@@ -172,8 +171,8 @@ def _walk(params: _ChainParams, i0: int, T: float, rng: np.random.Generator,
 
 def _check_horizon(T: float) -> float:
     T = float(T)
-    if not T > 0:
-        raise NonpositiveHorizonError(f"horizon must be positive, got {T}", horizon=T)
+    if not 0 < T < math.inf:
+        raise NonpositiveHorizonError(f"horizon must be positive and finite, got {T}", horizon=T)
     return T
 
 
