@@ -78,6 +78,7 @@ from .stochastic import (
     occupation_density,
     sample_path,
     sample_path_graph,
+    sample_paths,
     shift_path,
 )
 

@@ -30,8 +30,8 @@ from .solver import (
     solve_green,
     solve_heat_integral,
 )
-from .spectral import eigendecompose, green_kernel, heat_kernel, heat_time_integral
-from .stochastic import mc_estimate_measure, sample_path_graph
+from .spectral import _check_time, eigendecompose, green_kernel, heat_kernel, heat_time_integral
+from .stochastic import mc_estimate_measure, sample_paths
 from .verification import run_all_suites
 
 __all__ = ["main", "run", "RunConfig"]
@@ -281,10 +281,9 @@ def _cmd_simulate(config: RunConfig) -> int:
     if config.dump_paths:
         with open(out / "paths.csv", "w", encoding="utf-8") as fh:
             fh.write("path_id,step,state,holding_time\n")
-            for i in range(config.N):
-                path = sample_path_graph(
-                    walk_graph, walk_measure, config.start, config.T, (config.seed, i)
-                )
+            paths = sample_paths(walk_graph, walk_measure, config.start, config.T,
+                                 config.seed, range(config.N))
+            for i, path in enumerate(paths):
                 for step, (state, hold) in enumerate(zip(path.states, path.holding_times)):
                     fh.write(f"{i},{step},{state},{fileio.fmt(hold)}\n")
     return 0
@@ -302,6 +301,8 @@ def _cmd_kernel(config: RunConfig) -> int:
         times = [(tok, float(tok)) for tok in tokens]
     except ValueError as e:
         raise InputError(f"cannot parse --times: {e}") from e
+    for _, t in times:  # every time, before any output is written
+        _check_time(t)
     out = _out_dir(config)
     spec = eigendecompose(g, m)
     for tok, t in times:

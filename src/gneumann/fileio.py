@@ -160,6 +160,8 @@ def read_solution_csv(path) -> tuple[VertexFunction, tuple[str, ...]]:
 
 
 def write_json(obj, path) -> None:
+    """Strict JSON: a NaN or infinity raises ValueError before the file
+    is opened, so no file is left behind."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -8,14 +8,24 @@ piecewise constant, so exactness is free.
 
 Reproducibility: path i of an N-path run draws from the counter-based
 stream keyed (seed, i), so runs are order-independent and bit-identical
-across reruns and machines.
+across reruns and machines.  Draw k of path i is word k mod 4 of the
+Philox4x64-10 block with counter (k // 4 + 1, 0, 0, 0) and key
+(seed mod 2^64, i) (Salmon et al., SC'11), mapped to (w >> 11) * 2^-53:
+the stream of ``np.random.Philox(key=(seed, i)).random()``.  Draws 2j
+and 2j + 1 give the j-th holding time -log1p(-u)/rate and the j-th jump.
+The Monte Carlo estimator advances all paths of a batch together and
+computes these draws in numpy (``_uniforms``); single paths use the
+scalar walker.  Both take log1p from libm (``math.log1p``), because
+numpy's own SIMD log1p ufunc can differ from it in the last bit depending
+on the CPU, which would make seeded estimates machine-dependent.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +44,7 @@ __all__ = [
     "MCEstimate",
     "sample_path",
     "sample_path_graph",
+    "sample_paths",
     "local_time",
     "shift_path",
     "mc_estimate",
@@ -41,7 +52,9 @@ __all__ = [
     "occupation_density",
 ]
 
-_BLOCK = 1024
+_BLOCK = 1024  # uniforms per refill of the single-path walker
+_BATCH = 4096  # paths per _walk_paths call, and draw blocks per refill across them
+_MAX_BLOCKS = 64  # draw blocks per path and refill, when few paths are live
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,23 +100,81 @@ class MCEstimate:
 
 
 class _ChainParams:
-    """Per-vertex jump data sliced from the graph's CSR rows."""
+    """Per-vertex jump data in the graph's CSR layout: the holding rate of
+    each vertex and, for each row, the cumulative jump probabilities."""
 
     def __init__(self, g: WeightedGraph, m: Measure):
-        self.vertices = g.vertices
         deg = g.deg.tolist()
-        self.rates = [d / m[x] for d, x in zip(deg, g.vertices)]
-        self.neighbors = []
-        self.cumprobs = []
+        self.rates = np.array([d / m[x] for d, x in zip(deg, g.vertices)])
+        self.indptr = g.indptr
+        self.indices = g.indices
+        self.cum = np.zeros(len(g.data))
         for i, d in enumerate(deg):
             lo, hi = g.indptr[i], g.indptr[i + 1]
-            self.neighbors.append(g.indices[lo:hi].tolist())
             if d > 0:
-                cum = np.cumsum(g.data[lo:hi]) / d
-                cum[-1] = 1.0  # guard against roundoff undershoot
-                self.cumprobs.append(cum.tolist())
-            else:
-                self.cumprobs.append([])
+                self.cum[lo:hi] = np.cumsum(g.data[lo:hi]) / d
+                self.cum[hi - 1] = 1.0  # guard against roundoff undershoot
+        # bisection steps that resolve the longest row
+        self.depth = int(np.diff(g.indptr).max(initial=0)).bit_length()
+
+    @functools.cached_property
+    def lists(self) -> tuple[list, list, list, list]:
+        """Rates, indptr, indices and cum as lists, for the scalar walker."""
+        return self.rates.tolist(), self.indptr.tolist(), self.indices.tolist(), self.cum.tolist()
+
+    def jump(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Next state of each path at x: the first entry of row x whose
+        cumulative probability exceeds u, found by bisection.  Row ends
+        hold 1.0 > u, so this is the entry the linear scan would reach."""
+        lo = self.indptr[x]
+        hi = self.indptr[x + 1] - 1
+        for _ in range(self.depth):
+            mid = (lo + hi) >> 1
+            right = (u >= self.cum[mid]) & (lo < hi)
+            lo = np.where(right, mid + 1, lo)
+            hi = np.where(right, hi, mid)
+        return self.indices[lo]
+
+
+_LO32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit product of the constant a and
+    each word of b, from 32-bit halves so that no partial sum overflows."""
+    a0, a1 = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
+    b0, b1 = b & _LO32, b >> _32
+    mid = a1 * b0
+    mid += (a0 * b0) >> _32
+    carry = a0 * b1
+    carry += mid & _LO32
+    hi = a1 * b1
+    hi += mid >> _32
+    hi += carry >> _32
+    return hi, np.uint64(a) * b
+
+
+def _uniforms(seed: int, paths: np.ndarray, first_block: int, nblocks: int) -> np.ndarray:
+    """Draws 4*first_block .. 4*(first_block+nblocks)-1 of each path's
+    stream, one row per path: Philox4x64-10 with counter (b+1, 0, 0, 0)
+    for block b and key (seed mod 2^64, path), each word w mapped to
+    (w >> 11) * 2^-53.  This is ``np.random.Philox(key=(seed, path))``'s
+    ``random()`` stream bit for bit."""
+    k0 = int(seed) % 2**64
+    k1 = np.asarray(paths, dtype=np.uint64)[:, None]
+    x0 = np.arange(first_block + 1, first_block + nblocks + 1, dtype=np.uint64)[None, :]
+    x1 = x2 = x3 = np.zeros((1, 1), dtype=np.uint64)  # arrays: uint64 wraps silently
+    for r in range(10):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) % 2**64
+            k1 = k1 + np.uint64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ np.uint64(k0), lo1, hi0 ^ x3 ^ k1, lo0
+    words = np.stack(np.broadcast_arrays(x0, x1, x2, x3), axis=-1)
+    return (words.reshape(len(k1), 4 * nblocks) >> np.uint64(11)) * 2.0**-53
 
 
 def _stream_rng(seed: int, index: int) -> np.random.Generator:
@@ -111,32 +182,21 @@ def _stream_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _normalize_stream(stream) -> tuple[int, int]:
-    if isinstance(stream, tuple):
-        seed, index = stream
-        return int(seed), int(index)
-    return int(stream), 0
-
-
-def _walk(params: _ChainParams, i0: int, T: float, rng: np.random.Generator,
-          weights=None, record: bool = False):
+def _walk(chain: _ChainParams, i0: int, T: float, rng: np.random.Generator):
     """Simulate one trajectory until the accumulated time reaches T.
 
     Draw order is fixed: one uniform per waiting time (inverse CDF
     -log1p(-u)/rate), then one uniform per jump (linear scan of the
     cumulative table), so the stream consumption is reproducible.
-    Returns (integral of weights dt truncated at T, states, holds).
+    Returns the visited states and the holding times.
     """
-    rates = params.rates
-    neighbors = params.neighbors
-    cumprobs = params.cumprobs
+    rates, indptr, indices, cum = chain.lists
     buf = rng.random(_BLOCK)
     ptr = 0
     t = 0.0
     x = i0
-    acc = 0.0
-    states = [i0] if record else None
-    holds = [] if record else None
+    states = [i0]
+    holds = []
     while True:
         if ptr >= _BLOCK:
             buf = rng.random(_BLOCK)
@@ -145,12 +205,7 @@ def _walk(params: _ChainParams, i0: int, T: float, rng: np.random.Generator,
         ptr += 1
         rate = rates[x]
         hold = -math.log1p(-u) / rate if rate > 0.0 else math.inf
-        if record:
-            holds.append(hold)
-        if weights is not None:
-            w = weights[x]
-            if w != 0.0:
-                acc += w * (hold if t + hold < T else T - t)
+        holds.append(hold)
         t += hold
         if t >= T:
             break
@@ -159,14 +214,57 @@ def _walk(params: _ChainParams, i0: int, T: float, rng: np.random.Generator,
             ptr = 0
         u2 = buf[ptr]
         ptr += 1
-        cum = cumprobs[x]
-        j = 0
+        j = indptr[x]
         while u2 >= cum[j]:
             j += 1
-        x = neighbors[x][j]
-        if record:
-            states.append(x)
-    return acc, states, holds
+        x = indices[j]
+        states.append(x)
+    return states, holds
+
+
+def _walk_paths(chain: _ChainParams, i0: int, T: float, seed: int,
+                paths: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Integral over [0, T] of weights along each path, all paths at once.
+
+    Each step moves every live path by one hold and one jump, with the
+    draws and the arithmetic of ``_walk``, so path i's value is bit for
+    bit the one ``_walk`` on stream (seed, i) gives.  Live paths have all
+    used 2 * step draws, so one ``_uniforms`` call refills them together.
+    """
+    paths = np.asarray(paths, dtype=np.uint64)
+    vals = np.zeros(len(paths))
+    live = np.arange(len(paths))  # positions in paths of the live paths
+    x = np.full(len(paths), i0, dtype=np.intp)
+    t = np.zeros(len(paths))
+    acc = np.zeros(len(paths))
+    step = 0
+    while live.size:
+        nblocks = min(_MAX_BLOCKS, max(1, _BATCH // live.size))
+        u = _uniforms(seed, paths[live], step // 2, nblocks)
+        # libm, not the numpy ufunc, whose SIMD loops vary with the CPU
+        neglog = np.fromiter(map(math.log1p, (-u[:, 0::2]).ravel().tolist()),
+                             dtype=float, count=u.size // 2)
+        neglog = -neglog.reshape(live.size, 2 * nblocks)
+        rows = np.arange(live.size)
+        for j in range(2 * nblocks):
+            rate = chain.rates[x]
+            hold = np.full(len(x), math.inf)
+            np.divide(neglog[rows, j], rate, out=hold, where=rate > 0.0)
+            w = weights[x]
+            hit = w != 0.0
+            if hit.any():
+                th, hh = t[hit], hold[hit]
+                acc[hit] += w[hit] * np.where(th + hh < T, hh, T - th)
+            t += hold
+            going = t < T
+            if not going.all():
+                vals[live[~going]] = acc[~going]
+                live, rows, x, t, acc = live[going], rows[going], x[going], t[going], acc[going]
+                if not live.size:
+                    break
+            x = chain.jump(x, u[rows, 2 * j + 1])
+        step += 2 * nblocks
+    return vals
 
 
 def _check_horizon(T: float) -> float:
@@ -176,25 +274,40 @@ def _check_horizon(T: float) -> float:
     return T
 
 
-def sample_path_graph(g: WeightedGraph, m: Measure, x0, T: float, stream) -> SamplePath:
-    """Simulate the chain on an arbitrary graph from x0 up to time T.
-
-    ``stream`` is an integer seed or a (seed, index) pair; identical
-    streams reproduce the path bit for bit.
-    """
+def sample_paths(g: WeightedGraph, m: Measure, x0, T: float, seed: int,
+                 paths: Iterable[int]) -> Iterator[SamplePath]:
+    """Simulate the chain on an arbitrary graph from x0 up to time T, one
+    path per index in ``paths``, path i on stream (seed, i); the paths
+    share one jump table.  Arguments are checked before this returns."""
     T = _check_horizon(T)
     x0 = str(x0)
     if x0 not in g:
         raise UnknownVertexError(f"start vertex {x0!r} not in graph", vertex=x0)
-    seed, index = _normalize_stream(stream)
-    params = _ChainParams(g, m)
-    _, states, holds = _walk(params, g.index(x0), T, _stream_rng(seed, index), record=True)
-    return SamplePath(
-        states=tuple(g.vertices[i] for i in states),
-        holding_times=np.array(holds),
-        horizon=T,
-        seed=(seed, index),
-    )
+    seed = int(seed)
+    chain = _ChainParams(g, m)
+    i0 = g.index(x0)
+
+    def generate():
+        for index in paths:
+            states, holds = _walk(chain, i0, T, _stream_rng(seed, index))
+            yield SamplePath(
+                states=tuple(g.vertices[i] for i in states),
+                holding_times=np.array(holds),
+                horizon=T,
+                seed=(seed, int(index)),
+            )
+
+    return generate()
+
+
+def sample_path_graph(g: WeightedGraph, m: Measure, x0, T: float, stream) -> SamplePath:
+    """One path of ``sample_paths``.
+
+    ``stream`` is an integer seed or a (seed, index) pair; identical
+    streams reproduce the path bit for bit.
+    """
+    seed, index = stream if isinstance(stream, tuple) else (stream, 0)
+    return next(sample_paths(g, m, x0, T, seed, [int(index)]))
 
 
 def sample_path(sub: SubgraphClosure, x0, T: float, stream) -> SamplePath:
@@ -283,16 +396,16 @@ def mc_estimate_measure(g: WeightedGraph, boundary: Sequence, m: Measure, mu: Me
             expected=sorted(boundary), got=sorted(values.domain),
         )
 
-    weights = [0.0] * g.n
+    weights = np.zeros(g.n)
     for y in boundary:
         weights[g.index(y)] = values[y] * mu[y] / m[y]
 
-    params = _ChainParams(g, m)
+    chain = _ChainParams(g, m)
     i0 = g.index(x0)
     vals = np.empty(N)
-    for i in range(N):
-        acc, _, _ = _walk(params, i0, T, _stream_rng(seed, i), weights=weights)
-        vals[i] = acc
+    for lo in range(0, N, _BATCH):
+        hi = min(N, lo + _BATCH)
+        vals[lo:hi] = _walk_paths(chain, i0, T, seed, np.arange(lo, hi), weights)
     value = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(N))
     return MCEstimate(value=value, stderr=stderr, samples=N, horizon=T, start=x0, seed=int(seed))

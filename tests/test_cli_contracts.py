@@ -100,3 +100,12 @@ def test_bad_config_value_is_one_input_error(p3_files, capsys, command, key, val
     assert err["context"] == {"key": key}
     assert repr(key) in err["message"]
     assert not (p3_files / "out").exists()
+
+
+def test_kernel_bad_later_time_writes_no_output(p3_files, capsys):
+    out = p3_files / "kernel"
+    rc = main(["kernel", "--graph", str(p3_files / "graph.tsv"),
+               "--measure", str(p3_files / "measure.tsv"), "--times", "1,inf", "--out", str(out)])
+    assert rc == 1
+    assert _error(capsys)["code"] == "NonpositiveTime"
+    assert not list(out.glob("heat_t*.csv"))

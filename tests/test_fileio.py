@@ -98,3 +98,11 @@ def test_write_json_deterministic(tmp_path):
     fileio.write_json(payload, a)
     fileio.write_json(payload, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_rejects_non_finite_and_leaves_no_file(tmp_path, bad):
+    p = tmp_path / "x.json"
+    with pytest.raises(ValueError):
+        fileio.write_json({"ok": 1.0, "x": [bad]}, p)
+    assert not p.exists()

@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 import gneumann as gn
-from gneumann import SamplePath, VertexFunction
+from gneumann import SamplePath, VertexFunction, stochastic
 from gneumann.errors import (
     HorizonExceededError,
     NonpositiveHorizonError,
@@ -247,3 +250,141 @@ def test_occupation_density_horizon_guard(p3_closure):
     paths = [gn.sample_path(p3_closure, "2", 1.0, (3, i)) for i in range(3)]
     with pytest.raises(HorizonExceededError):
         gn.occupation_density(paths, 1.5, "2", p3_closure.measure)
+
+
+# ---- the path-vectorized walker against numpy's Philox and the scalar walker
+
+
+def _numpy_draws(seed, index, count):
+    key = np.array([seed % 2**64, index % 2**64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).random(count)
+
+
+def _scalar_integral(chain, i0, T, seed, index, weights):
+    """The boundary integral recomputed from the scalar walker's record,
+    with the accumulation order of the vectorized walker."""
+    states, holds = stochastic._walk(chain, i0, T, stochastic._stream_rng(seed, index))
+    acc = 0.0
+    t = 0.0
+    for x, hold in zip(states, holds):
+        w = weights[x]
+        if w != 0.0:
+            acc += w * (hold if t + hold < T else T - t)
+        t += hold
+    return acc
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7919, 2**63 + 5, -1])
+@pytest.mark.parametrize("index", [0, 2**40])
+def test_uniforms_match_numpy_philox(seed, index):
+    ref = _numpy_draws(seed, index, 4 * 301)
+    got = stochastic._uniforms(seed, np.array([index]), 0, 301)
+    assert got.shape == (1, 4 * 301)
+    assert np.array_equal(got[0].view(np.uint64), ref.view(np.uint64))
+    # a window of blocks, for several paths in one call
+    rows = stochastic._uniforms(seed, np.array([index, index + 1]), 7, 3)
+    assert np.array_equal(rows[0], ref[28:40])
+    assert np.array_equal(rows[1], _numpy_draws(seed, index + 1, 40)[28:])
+
+
+# no shrinking: the inputs are seeds, and each example walks 3 * 4097 paths
+@settings(max_examples=8, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(st.integers(min_value=0, max_value=10_000), st.floats(min_value=0.05, max_value=3.0),
+       st.integers(min_value=-(2**63), max_value=2**64 - 1))
+def test_walk_paths_equals_scalar_walk(instance_seed, T, seed):
+    rng = np.random.default_rng(instance_seed)
+    sub = random_closure(rng, n_min=3, n_max=8)
+    g = sub.graph
+    weights = np.zeros(g.n)
+    for y in sub.boundary:
+        weights[g.index(y)] = rng.standard_normal()
+    chain = stochastic._ChainParams(g, sub.measure)
+    i0 = int(rng.integers(g.n))
+    batch = stochastic._BATCH
+    ref = np.array([_scalar_integral(chain, i0, T, seed, i, weights.tolist())
+                    for i in range(batch + 1)])
+    for n in (batch - 1, batch, batch + 1):
+        vals = stochastic._walk_paths(chain, i0, T, seed, np.arange(n), weights)
+        # bit for bit, and the first n paths do not depend on how many follow
+        assert np.array_equal(vals.view(np.uint64), ref[:n].view(np.uint64))
+
+
+def test_jump_bisection_equals_linear_scan_at_ties():
+    rng = np.random.default_rng(5)
+    sub = random_closure(rng, n_min=6, n_max=12)
+    chain = stochastic._ChainParams(sub.graph, sub.measure)
+    for x in range(sub.graph.n):
+        lo, hi = chain.indptr[x], chain.indptr[x + 1]
+        row = chain.cum[lo:hi]
+        us = np.unique(np.concatenate([[0.0, np.nextafter(1.0, 0.0)], row[:-1],
+                                       np.nextafter(row[:-1], 0.0)]))
+        got = chain.jump(np.full(us.size, x), us)
+        scan = [chain.indices[lo + int(np.sum(u >= row))] for u in us]
+        assert got.tolist() == scan
+
+
+def test_horizon_at_an_exact_jump_time():
+    # T equal to a float partial sum t + h at which (t + h) - t != h: the
+    # last segment must be charged T - t, as in the scalar walker
+    g = gn.build_graph(["a", "b"], [("a", "b", 1.0)])
+    m = gn.Measure({"a": 1.0, "b": 3.0})
+    chain = stochastic._ChainParams(g, m)
+    weights = np.array([1.0, -0.7])
+    for index in range(100):
+        _, holds = stochastic._walk(chain, 0, 50.0, stochastic._stream_rng(11, index))
+        t = 0.0
+        for h in holds[:-1]:
+            if (t + h) - t != h:
+                T = t + h
+                vals = stochastic._walk_paths(chain, 0, T, 11, np.array([index]), weights)
+                ref = _scalar_integral(chain, 0, T, 11, index, weights.tolist())
+                assert vals[0] == ref
+                return
+            t += h
+    pytest.fail("no partial sum with a rounded difference")
+
+
+def test_degree_zero_start_vertex_in_both_walkers():
+    g = gn.build_graph(["a", "b", "c"], [("a", "b", 1.0)])
+    m = gn.Measure.uniform(g.vertices)
+    chain = stochastic._ChainParams(g, m)
+    weights = np.array([1.0, 0.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = stochastic._walk_paths(chain, g.index("c"), 1.5, 3, np.arange(5), weights)
+        ref = [_scalar_integral(chain, g.index("c"), 1.5, 3, i, weights.tolist()) for i in range(5)]
+        est = gn.mc_estimate_measure(g, ["c", "a"], m, m, {"c": 2.0, "a": 1.0}, "c", 1.5, 5, 3)
+        path = gn.sample_path_graph(g, m, "c", 1.5, (3, 0))
+    assert vals.tolist() == ref == [3.0] * 5
+    assert est.value == 3.0 and est.stderr == 0.0
+    assert path.states == ("c",) and path.holding_times.tolist() == [math.inf]
+
+
+@pytest.mark.parametrize("x0, T, N, seed, value, stderr", [
+    ("1", 5.0, 10_000, 1, 0.9682706051073575, 0.021377422614032637),
+    ("2", 40.0, 3000, 7919, -0.02281703204582601, 0.1317584435658528),
+    ("1", 0.3, 5000, -1, 0.26045145627549066, 0.0012222269106120286),
+])
+def test_mc_estimate_golden_values(p3_closure, p3_phi, x0, T, N, seed, value, stderr):
+    # the exact values of the per-path walker that drew from one
+    # np.random.Philox generator per path, on any machine
+    est = gn.mc_estimate(p3_closure, p3_phi, x0, T, N, seed)
+    assert (est.value, est.stderr) == (value, stderr)
+
+
+def test_sample_paths_share_one_table_and_match_single_paths(p3_closure):
+    g, m = p3_closure.graph, p3_closure.measure
+    paths = list(gn.sample_paths(g, m, "2", 6.0, 17, [4, 0, 2**40]))
+    for index, path in zip([4, 0, 2**40], paths):
+        one = gn.sample_path_graph(g, m, "2", 6.0, (17, index))
+        assert path.seed == one.seed == (17, index)
+        assert path.states == one.states
+        assert np.array_equal(path.holding_times, one.holding_times)
+
+
+def test_sample_paths_checks_arguments_before_returning(p3_closure):
+    g, m = p3_closure.graph, p3_closure.measure
+    with pytest.raises(NonpositiveHorizonError):
+        gn.sample_paths(g, m, "2", math.inf, 1, range(3))
+    with pytest.raises(UnknownVertexError):
+        gn.sample_paths(g, m, "9", 1.0, 1, range(3))
