@@ -17,6 +17,7 @@ from .errors import (
     EmptyInteriorError,
     GneumannError,
     HorizonExceededError,
+    IllConditionedError,
     IncompatibleDataError,
     InputError,
     InteriorIsWholeGraphError,

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import fileio
 from .errors import GneumannError, InputError
-from .graphs import Measure, closure_subgraph
+from .graphs import closure_subgraph
 from .solver import (
     BoundaryData,
     check_compatibility,
@@ -158,10 +158,25 @@ def _problem_mode(config: RunConfig) -> str:
     raise InputError("need --interior, or --boundary together with --mu")
 
 
-def _load_phi(config: RunConfig, boundary, measure: Measure) -> BoundaryData:
-    _require(config, "phi")
-    values = fileio.read_vertex_function(config.phi)
-    return BoundaryData(values=values, measure=measure.restrict(boundary))
+def _load_problem(config: RunConfig):
+    """Read the instance and the problem (boundary, mu), in either mode.
+
+    The vertex-boundary problem is the boundary-measure problem on the
+    closure graph with mu = m on the vertex boundary, so both modes
+    return ``(mode, sub, graph, m, boundary, mu)``: ``sub`` is the closure
+    for ``--interior`` and None for ``--boundary``/``--mu``, where the
+    graph is the input graph and only ``solve --method direct`` applies.
+    """
+    g, m = _load_instance(config)
+    mode = _problem_mode(config)
+    if mode == "vertex-boundary":
+        sub = closure_subgraph(g, fileio.read_vertex_set(config.interior), m)
+        return mode, sub, sub.graph, sub.measure, sub.boundary, sub.boundary_measure()
+    boundary = fileio.read_vertex_set(config.boundary)
+    mu = fileio.read_measure(config.mu)
+    if config.command == "solve" and config.method != "direct":
+        raise InputError("boundary-measure mode supports only --method direct")
+    return mode, None, g, m, boundary, mu
 
 
 def _maybe_project(config: RunConfig, phi: BoundaryData):
@@ -182,38 +197,25 @@ def _out_dir(config: RunConfig) -> Path:
 
 
 def _cmd_solve(config: RunConfig) -> int:
-    g, m = _load_instance(config)
-    mode = _problem_mode(config)
+    mode, sub, g, m, boundary, mu = _load_problem(config)
+    _require(config, "phi")
+    phi = BoundaryData(values=fileio.read_vertex_function(config.phi), measure=mu)
+    phi, shift, warning = _maybe_project(config, phi)
     out = _out_dir(config)
     summary: dict = {"mode": mode}
 
-    if mode == "vertex-boundary":
-        interior = fileio.read_vertex_set(config.interior)
-        sub = closure_subgraph(g, interior, m)
-        phi = _load_phi(config, sub.boundary, sub.measure)
-        phi, shift, warning = _maybe_project(config, phi)
-        if config.method == "direct":
-            sol = solve_direct(sub, phi)
+    if config.method != "direct":  # the loader admits these only on a closure
+        spec = eigendecompose(g, m)
+        if config.method == "green":
+            sol = solve_green(sub, phi, spec)
         else:
-            spec = eigendecompose(sub.graph, sub.measure)
-            if config.method == "green":
-                sol = solve_green(sub, phi, spec)
-            else:
-                sol = solve_heat_integral(sub, phi, spec, tol=config.tol)
-        order = sub.closure
-        boundary = sub.boundary
+            sol = solve_heat_integral(sub, phi, spec, tol=config.tol)
+    elif sub is not None:
+        sol = solve_direct(sub, phi)
     else:
-        boundary = fileio.read_vertex_set(config.boundary)
-        mu = fileio.read_measure(config.mu)
-        if config.method != "direct":
-            raise InputError("boundary-measure mode supports only --method direct")
-        _require(config, "phi")
-        phi = BoundaryData(values=fileio.read_vertex_function(config.phi), measure=mu)
-        phi, shift, warning = _maybe_project(config, phi)
         sol = solve_boundary_measure(g, boundary, m, mu, phi)
-        order = g.vertices
 
-    fileio.write_solution_csv(sol.u, boundary, order, out / "solution.csv")
+    fileio.write_solution_csv(sol.u, boundary, g.vertices, out / "solution.csv")
     summary.update({
         "method": sol.method,
         "residual_interior": sol.residual_interior,
@@ -231,37 +233,22 @@ def _cmd_solve(config: RunConfig) -> int:
 
 
 def _cmd_simulate(config: RunConfig) -> int:
-    g, m = _load_instance(config)
-    mode = _problem_mode(config)
+    mode, _, g, m, boundary, mu = _load_problem(config)
     _require(config, "start", "T")
     if config.N < 2:
         raise InputError(f"simulation needs N >= 2, got {config.N}")
-    out = _out_dir(config)
-
-    if mode == "vertex-boundary":
-        interior = fileio.read_vertex_set(config.interior)
-        sub = closure_subgraph(g, interior, m)
-        walk_graph, walk_measure = sub.graph, sub.measure
-        boundary = sub.boundary
-        mu = sub.boundary_measure()
-    else:
-        boundary = fileio.read_vertex_set(config.boundary)
-        mu = fileio.read_measure(config.mu)
-        walk_graph, walk_measure = g, m
-
     _require(config, "phi")
     phi = BoundaryData(values=fileio.read_vertex_function(config.phi), measure=mu)
+    out = _out_dir(config)
 
-    est = mc_estimate_measure(
-        walk_graph, boundary, walk_measure, mu, phi,
-        config.start, config.T, config.N, config.seed,
-    )
+    est = mc_estimate_measure(g, boundary, m, mu, phi, config.start, config.T, config.N,
+                              config.seed)
 
     # spectral value of the same finite-horizon expectation, as reference
-    spec = eigendecompose(walk_graph, walk_measure)
-    fvec = np.zeros(walk_graph.n)
+    spec = eigendecompose(g, m)
+    fvec = np.zeros(g.n)
     for y in boundary:
-        fvec[walk_graph.index(y)] = phi.values[y] * mu[y] / walk_measure[y]
+        fvec[g.index(y)] = phi.values[y] * mu[y] / m[y]
     ref = heat_time_integral(spec, fvec, config.T)[str(config.start)]
     z = (est.value - ref) / est.stderr if est.stderr > 0 else None
 
@@ -281,8 +268,7 @@ def _cmd_simulate(config: RunConfig) -> int:
     if config.dump_paths:
         with open(out / "paths.csv", "w", encoding="utf-8") as fh:
             fh.write("path_id,step,state,holding_time\n")
-            paths = sample_paths(walk_graph, walk_measure, config.start, config.T,
-                                 config.seed, range(config.N))
+            paths = sample_paths(g, m, config.start, config.T, config.seed, range(config.N))
             for i, path in enumerate(paths):
                 for step, (state, hold) in enumerate(zip(path.states, path.holding_times)):
                     fh.write(f"{i},{step},{state},{fileio.fmt(hold)}\n")
@@ -319,7 +305,7 @@ def _cmd_verify(config: RunConfig) -> int:
     sub = closure_subgraph(g, interior, m)
     phi = None
     if config.phi:
-        phi = _load_phi(config, sub.boundary, sub.measure)
+        phi = BoundaryData.for_closure(sub, fileio.read_vertex_function(config.phi))
     report = run_all_suites(sub, phi=phi, seed=config.seed)
     out = _out_dir(config)
     fileio.write_json(report, out / "report.json")

@@ -53,6 +53,12 @@ class DisconnectedError(GneumannError):
     code = "Disconnected"
 
 
+class IllConditionedError(GneumannError):
+    """A connected graph whose Laplacian roundoff cannot resolve."""
+
+    code = "IllConditioned"
+
+
 class NonPositiveMeasureError(GneumannError):
     code = "NonPositiveMeasure"
 

@@ -268,7 +268,6 @@ class SubgraphClosure:
         self._boundary = tuple(boundary)
         self._graph = graph
         self._measure = measure
-        self._interior_set = frozenset(self._interior)
         self._boundary_set = frozenset(self._boundary)
         self.measure_vector = measure.to_vector(graph.vertices)
         self.boundary_index = np.array([graph.index(y) for y in self._boundary], dtype=np.intp)
@@ -296,15 +295,8 @@ class SubgraphClosure:
         return self._measure
 
     @property
-    def interior_set(self) -> frozenset[str]:
-        return self._interior_set
-
-    @property
     def boundary_set(self) -> frozenset[str]:
         return self._boundary_set
-
-    def is_boundary(self, x) -> bool:
-        return _as_vertex(x) in self._boundary_set
 
     def boundary_measure(self) -> Measure:
         """The ambient measure restricted to the boundary."""

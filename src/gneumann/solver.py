@@ -31,7 +31,7 @@ from .errors import (
     IncompatibleDataError,
     NonpositiveToleranceError,
 )
-from .forms import VertexFunction
+from .forms import VertexFunction, _as_function
 from .graphs import Measure, SubgraphClosure, WeightedGraph, is_connected
 from .spectral import (
     Spectrum,
@@ -234,6 +234,31 @@ def solve_heat_integral(sub: SubgraphClosure, phi, spec: Spectrum, tol: float) -
     return _finish(_closure_problem(sub, phi), uvec, "heat-integral", horizon=T)
 
 
+def _boundary_values(g: WeightedGraph, boundary,
+                     phi) -> tuple[tuple[str, ...], VertexFunction, np.ndarray]:
+    """The designated boundary, the data on it and its indices in g.
+
+    The boundary must be a non-empty set of vertices of g, and phi (a
+    ``BoundaryData``, a ``VertexFunction`` or a mapping) must be defined
+    exactly on it.  The solve core and the Monte Carlo estimator both
+    check their boundary data here.
+    """
+    boundary = tuple(str(v) for v in boundary)
+    if not boundary:
+        raise DomainMismatchError("designated boundary set is empty")
+    for y in boundary:
+        if y not in g:
+            raise DomainMismatchError(f"boundary vertex {y!r} not in graph", vertex=y)
+    values = _as_function(phi.values if isinstance(phi, BoundaryData) else phi)
+    if values.domain != frozenset(boundary):
+        raise DomainMismatchError(
+            "boundary data is not defined exactly on the designated boundary",
+            expected=sorted(boundary),
+            got=sorted(values.domain),
+        )
+    return boundary, values, np.array([g.index(y) for y in boundary], dtype=np.intp)
+
+
 def solve_boundary_measure(g: WeightedGraph, boundary, m: Measure, mu: Measure, phi) -> NeumannSolution:
     """Neumann problem for a designated boundary set carrying its own
     finite measure mu, on the whole graph.
@@ -246,33 +271,14 @@ def solve_boundary_measure(g: WeightedGraph, boundary, m: Measure, mu: Measure, 
     measure restricted to the vertex boundary, which is how
     ``solve_direct`` calls it.
     """
-    boundary = tuple(str(v) for v in boundary)
-    if not boundary:
-        raise DomainMismatchError("designated boundary set is empty")
-    for y in boundary:
-        if y not in g:
-            raise DomainMismatchError(f"boundary vertex {y!r} not in graph", vertex=y)
+    boundary, values, bidx = _boundary_values(g, boundary, phi)
     if not is_connected(g):
         raise DisconnectedError("graph is not connected")
-    if isinstance(phi, BoundaryData):
-        if phi.measure != mu:
-            raise DomainMismatchError(
-                "boundary data carries a different measure than mu"
-            )
-        values = phi.values
-    else:
-        values = phi if isinstance(phi, VertexFunction) else VertexFunction(dict(phi))
-    data = BoundaryData(values=values, measure=mu)
-    if data.boundary != frozenset(boundary):
-        raise DomainMismatchError(
-            "boundary data is not defined exactly on the designated boundary",
-            expected=sorted(boundary),
-            got=sorted(data.boundary),
-        )
-    _require_compatible(data)
+    if isinstance(phi, BoundaryData) and phi.measure != mu:
+        raise DomainMismatchError("boundary data carries a different measure than mu")
+    _require_compatible(BoundaryData(values=values, measure=mu))
 
     mv = m.to_vector(g.vertices)
-    bidx = np.array([g.index(y) for y in boundary], dtype=np.intp)
     flux = values.to_vector(boundary)
     muv = mu.to_vector(boundary)
     # the singular symmetric system with the centering row appended as a

@@ -11,13 +11,14 @@ desk scale (up to a few thousand vertices).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .errors import (
     DisconnectedError,
+    IllConditionedError,
     NonpositiveTimeError,
     SpectrumMismatchError,
 )
@@ -46,14 +47,14 @@ class Spectrum:
     inner product.
 
     ``basis`` holds the eigenfunctions as columns in vertex order;
-    eigenvalues are ascending with detected zero modes snapped to 0.0.
+    eigenvalues are ascending, the first one (the constant mode) snapped
+    to 0.0.
     """
 
     graph: WeightedGraph
     measure: Measure
     eigenvalues: np.ndarray
     basis: np.ndarray
-    n_zero_modes: int = field(default=1)
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -62,9 +63,9 @@ class Spectrum:
     @property
     def spectral_gap(self) -> float:
         """Smallest nonzero eigenvalue."""
-        if self.n_zero_modes >= len(self.eigenvalues):
-            raise DisconnectedError("no nonzero eigenvalue: graph is a single point or disconnected")
-        return float(self.eigenvalues[self.n_zero_modes])
+        if len(self.eigenvalues) < 2:
+            raise DisconnectedError("no nonzero eigenvalue: graph is a single point")
+        return float(self.eigenvalues[1])
 
     def coefficients(self, f) -> np.ndarray:
         """Expansion coefficients of f in the eigenbasis (m-weighted)."""
@@ -77,17 +78,20 @@ class Spectrum:
 
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
-    """Dense symmetric kernel indexed by the vertex order of its spectrum."""
+    """Dense symmetric kernel indexed by the vertex order of its spectrum's
+    graph."""
 
-    vertices: tuple[str, ...]
+    graph: WeightedGraph
     entries: np.ndarray
     kind: str  # "heat" or "green"
     time: float | None = None
 
+    @property
+    def vertices(self) -> tuple[str, ...]:
+        return self.graph.vertices
+
     def entry(self, x, y) -> float:
-        ix = self.vertices.index(str(x))
-        iy = self.vertices.index(str(y))
-        return float(self.entries[ix, iy])
+        return float(self.entries[self.graph.index(x), self.graph.index(y)])
 
 
 def eigendecompose(g: WeightedGraph, m: Measure) -> Spectrum:
@@ -122,17 +126,20 @@ def eigendecompose(g: WeightedGraph, m: Measure) -> Spectrum:
             psi[:, k] = -col
 
     lam_max = max(1.0, float(w[-1]))
-    zero = w < ZERO_EIGENVALUE_RTOL * lam_max
-    n_zero = int(np.count_nonzero(zero))
+    n_zero = int(np.count_nonzero(w < ZERO_EIGENVALUE_RTOL * lam_max))
     if n_zero != 1:
-        raise DisconnectedError(
-            f"expected exactly one zero mode on a connected graph, found {n_zero}"
+        # a connected graph has exactly one zero mode; more or fewer are
+        # eigenvalues that roundoff cannot tell apart from zero
+        raise IllConditionedError(
+            f"expected exactly one zero mode on a connected graph, found {n_zero}: "
+            "the Laplacian is too ill-conditioned to resolve its spectrum",
+            n_zero_modes=n_zero,
         )
     w = w.copy()
-    w[zero] = 0.0
+    w[0] = 0.0
     w.flags.writeable = False
     psi.flags.writeable = False
-    return Spectrum(graph=g, measure=m, eigenvalues=w, basis=psi, n_zero_modes=n_zero)
+    return Spectrum(graph=g, measure=m, eigenvalues=w, basis=psi)
 
 
 def _check_time(t: float) -> float:
@@ -149,7 +156,7 @@ def heat_kernel(spec: Spectrum, t: float) -> KernelMatrix:
     P = (spec.basis * decay[None, :]) @ spec.basis.T
     P = 0.5 * (P + P.T)
     P.flags.writeable = False
-    return KernelMatrix(vertices=spec.vertices, entries=P, kind="heat", time=t)
+    return KernelMatrix(graph=spec.graph, entries=P, kind="heat", time=t)
 
 
 def green_kernel(spec: Spectrum) -> KernelMatrix:
@@ -158,15 +165,14 @@ def green_kernel(spec: Spectrum) -> KernelMatrix:
 
     Equals the time integral of (heat kernel - equilibrium) mode by mode.
     """
-    k0 = spec.n_zero_modes
-    if k0 >= len(spec.eigenvalues):
+    if len(spec.eigenvalues) < 2:
         raise DisconnectedError("Green kernel requires a positive spectral gap")
-    lam = spec.eigenvalues[k0:]
-    psi = spec.basis[:, k0:]
+    lam = spec.eigenvalues[1:]
+    psi = spec.basis[:, 1:]
     G = (psi / lam[None, :]) @ psi.T
     G = 0.5 * (G + G.T)
     G.flags.writeable = False
-    return KernelMatrix(vertices=spec.vertices, entries=G, kind="green")
+    return KernelMatrix(graph=spec.graph, entries=G, kind="green")
 
 
 def mixing_constants(spec: Spectrum, t0: float) -> tuple[float, float]:
@@ -178,9 +184,8 @@ def mixing_constants(spec: Spectrum, t0: float) -> tuple[float, float]:
     """
     t0 = _check_time(t0)
     c2 = spec.spectral_gap
-    k0 = spec.n_zero_modes
-    lam = spec.eigenvalues[k0:]
-    psi_abs = np.abs(spec.basis[:, k0:])
+    lam = spec.eigenvalues[1:]
+    psi_abs = np.abs(spec.basis[:, 1:])
     A = (psi_abs * np.exp(-lam * t0)[None, :]) @ psi_abs.T
     c1 = float(np.exp(c2 * t0) * A.max())
     return c1, c2
@@ -201,16 +206,14 @@ def heat_time_integral(spec: Spectrum, f, T: float) -> VertexFunction:
         x -> sum_y integral_0^T p_s(x, y) f(y) m(y) ds,
 
     evaluated per eigenmode in closed form ((1 - exp(-lambda T)) / lambda,
-    and T itself for zero modes).
+    and T itself for the zero mode).
     """
     T = _check_time(T)
     coef = spec.coefficients(f)
     lam = spec.eigenvalues
     weights = np.empty_like(lam)
-    zero = np.arange(len(lam)) < spec.n_zero_modes
-    weights[zero] = T
-    nz = ~zero
-    weights[nz] = -np.expm1(-lam[nz] * T) / lam[nz]
+    weights[0] = T
+    weights[1:] = -np.expm1(-lam[1:] * T) / lam[1:]
     out = spec.basis @ (weights * coef)
     return VertexFunction.from_vector(spec.vertices, out)
 

@@ -30,14 +30,12 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import (
-    DomainMismatchError,
     HorizonExceededError,
     NonpositiveHorizonError,
     UnknownVertexError,
 )
-from .forms import VertexFunction
 from .graphs import Measure, SubgraphClosure, WeightedGraph
-from .solver import BoundaryData
+from .solver import _boundary_values
 
 __all__ = [
     "SamplePath",
@@ -383,22 +381,12 @@ def mc_estimate_measure(g: WeightedGraph, boundary: Sequence, m: Measure, mu: Me
     x0 = str(x0)
     if x0 not in g:
         raise UnknownVertexError(f"start vertex {x0!r} not in graph", vertex=x0)
-    boundary = tuple(str(v) for v in boundary)
-    if isinstance(phi, BoundaryData):
-        values = phi.values
-    elif isinstance(phi, VertexFunction):
-        values = phi
-    else:
-        values = VertexFunction(dict(phi))
-    if values.domain != frozenset(boundary):
-        raise DomainMismatchError(
-            "boundary values not defined exactly on the boundary set",
-            expected=sorted(boundary), got=sorted(values.domain),
-        )
+    boundary, values, bidx = _boundary_values(g, boundary, phi)
 
+    # mu, not the measure a BoundaryData carries, weights the occupation
     weights = np.zeros(g.n)
-    for y in boundary:
-        weights[g.index(y)] = values[y] * mu[y] / m[y]
+    for y, i in zip(boundary, bidx.tolist()):
+        weights[i] = values[y] * mu[y] / m[y]
 
     chain = _ChainParams(g, m)
     i0 = g.index(x0)
