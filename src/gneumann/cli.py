@@ -13,10 +13,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+import warnings
 from pathlib import Path
 
-import numpy as np
+import scipy.linalg
 
 from . import fileio
 from .errors import GneumannError, InputError
@@ -31,34 +31,37 @@ from .solver import (
     solve_heat_integral,
 )
 from .spectral import _check_time, eigendecompose, green_kernel, heat_kernel, heat_time_integral
-from .stochastic import mc_estimate_measure, sample_paths
+from .stochastic import _occupation_weights, mc_estimate_measure, sample_paths
 from .verification import run_all_suites
 
-__all__ = ["main", "run", "RunConfig"]
+__all__ = ["main"]
+
+# every flag once, by destination: (type, choices, default, help).  The
+# table builds the subcommand parsers and checks each --config value.
+_FLAGS = {
+    "graph": (str, None, None, "edge-list TSV: x<TAB>y<TAB>weight"),
+    "measure": (str, None, None, "vertex measure TSV: x<TAB>m"),
+    "interior": (str, None, None, "interior vertex set, one id per line"),
+    "boundary": (str, None, None, "designated boundary set (boundary-measure mode)"),
+    "mu": (str, None, None, "boundary measure TSV (boundary-measure mode)"),
+    "phi": (str, None, None, "boundary data TSV: x<TAB>value"),
+    "method": (str, ("direct", "green", "heat-integral"), "direct",
+               "solution route (default %(default)s)"),
+    "tol": (float, None, 1e-10, "truncation tolerance (default %(default)s)"),
+    "T": (float, None, None, "time horizon for simulation"),
+    "N": (int, None, 10000, "number of Monte Carlo paths (default %(default)s)"),
+    "seed": (int, None, 0, "PRNG seed (default %(default)s)"),
+    "start": (str, None, None, "start vertex for simulation"),
+    "times": (str, None, None, "comma-separated kernel times, e.g. 0.5,1,2"),
+    "out": (str, None, ".", "output directory (default %(default)s)"),
+    "project": (bool, None, False, "center incompatible boundary data instead of failing"),
+    "dump_paths": (bool, None, False, "also write per-path CSV when simulating"),
+}
 
 
-@dataclass
-class RunConfig:
-    command: str
-    graph: str | None = None
-    measure: str | None = None
-    interior: str | None = None
-    boundary: str | None = None
-    mu: str | None = None
-    phi: str | None = None
-    method: str = "direct"
-    tol: float = 1e-10
-    T: float | None = None
-    N: int = 10000
-    seed: int = 0
-    start: str | None = None
-    times: str | None = None
-    out: str = "."
-    project: bool = False
-    dump_paths: bool = False
-
-
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(defaults: dict) -> argparse.ArgumentParser:
+    """The parser of all four commands; ``defaults`` (checked --config
+    values) replace the table's defaults, so explicit flags still win."""
     parser = argparse.ArgumentParser(
         prog="gneumann",
         description="Neumann boundary-value problems on finite weighted graphs",
@@ -72,66 +75,36 @@ def _build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", help="JSON file with defaults for any flag")
-        p.add_argument("--graph", help="edge-list TSV: x<TAB>y<TAB>weight")
-        p.add_argument("--measure", help="vertex measure TSV: x<TAB>m")
-        p.add_argument("--interior", help="interior vertex set, one id per line")
-        p.add_argument("--boundary", help="designated boundary set (boundary-measure mode)")
-        p.add_argument("--mu", help="boundary measure TSV (boundary-measure mode)")
-        p.add_argument("--phi", help="boundary data TSV: x<TAB>value")
-        p.add_argument("--method", choices=["direct", "green", "heat-integral"])
-        p.add_argument("--tol", type=float, help="truncation tolerance (default 1e-10)")
-        p.add_argument("--T", type=float, help="time horizon for simulation")
-        p.add_argument("--N", type=int, help="number of Monte Carlo paths (default 10000)")
-        p.add_argument("--seed", type=int, help="PRNG seed (default 0)")
-        p.add_argument("--start", help="start vertex for simulation")
-        p.add_argument("--times", help="comma-separated kernel times, e.g. 0.5,1,2")
-        p.add_argument("--out", help="output directory (default .)")
-        p.add_argument("--project", action="store_true", default=None,
-                       help="center incompatible boundary data instead of failing")
-        p.add_argument("--dump-paths", dest="dump_paths", action="store_true", default=None,
-                       help="also write per-path CSV when simulating")
+        for dest, (kind, choices, default, text) in _FLAGS.items():
+            kw = {"action": "store_true"} if kind is bool else {"type": kind, "choices": choices}
+            p.add_argument("--" + dest.replace("_", "-"), dest=dest, default=default, help=text, **kw)
+        p.set_defaults(**defaults)
     return parser
 
 
-def _check_config_value(action: argparse.Action, key: str, val) -> None:
-    """A config value must have the type and lie among the choices of the
-    flag that sets the same field."""
-    kind = bool if action.nargs == 0 else action.type or str
-    ok = isinstance(val, (int, float) if kind is float else kind)
-    ok = ok and (kind is bool or not isinstance(val, bool))  # bool is an int subclass
-    if not ok or (action.choices and val not in action.choices):
-        expected = "one of " + ", ".join(action.choices) if action.choices else kind.__name__
-        raise InputError(f"config key {key!r} must be {expected}, got {val!r}", key=key)
-
-
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> RunConfig:
-    values = {}
-    if getattr(args, "config", None):
-        try:
-            values = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as e:
-            raise InputError(f"cannot read config {args.config}: {e}") from e
-        if not isinstance(values, dict):
-            raise InputError(f"config {args.config} must hold a JSON object")
-    config = RunConfig(command=args.command)
-    known = {f.name for f in fields(RunConfig)}
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {a.dest: a for a in sub.choices[args.command]._actions}
+def _read_config(path: str) -> dict:
+    """The flag values in a --config file, each checked against its row
+    of ``_FLAGS``; a "command" key is ignored."""
+    try:
+        values = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as e:
+        raise InputError(f"cannot read config {path}: {e}") from e
+    if not isinstance(values, dict):
+        raise InputError(f"config {path} must hold a JSON object")
+    values.pop("command", None)
     for key, val in values.items():
-        if key == "command":
-            continue
-        if key not in known:
+        if key not in _FLAGS:
             raise InputError(f"unknown config key {key!r}")
-        _check_config_value(flags[key], key, val)
-        setattr(config, key, val)
-    for f in fields(RunConfig):
-        flag = getattr(args, f.name, None)
-        if flag is not None:
-            setattr(config, f.name, flag)
-    return config
+        kind, choices, _, _ = _FLAGS[key]
+        ok = isinstance(val, (int, float) if kind is float else kind)
+        ok = ok and (kind is bool or not isinstance(val, bool))  # bool is an int subclass
+        if not ok or (choices and val not in choices):
+            expected = "one of " + ", ".join(choices) if choices else kind.__name__
+            raise InputError(f"config key {key!r} must be {expected}, got {val!r}", key=key)
+    return values
 
 
-def _require(config: RunConfig, *names: str) -> None:
+def _require(config: argparse.Namespace, *names: str) -> None:
     missing = [n for n in names if getattr(config, n) in (None, "")]
     if missing:
         raise InputError(
@@ -139,14 +112,14 @@ def _require(config: RunConfig, *names: str) -> None:
         )
 
 
-def _load_instance(config: RunConfig):
+def _load_instance(config: argparse.Namespace):
     _require(config, "graph", "measure")
     g = fileio.read_graph(config.graph)
     m = fileio.read_measure(config.measure)
     return g, m
 
 
-def _problem_mode(config: RunConfig) -> str:
+def _problem_mode(config: argparse.Namespace) -> str:
     has_interior = bool(config.interior)
     has_measure_boundary = bool(config.boundary) or bool(config.mu)
     if has_interior and has_measure_boundary:
@@ -158,7 +131,7 @@ def _problem_mode(config: RunConfig) -> str:
     raise InputError("need --interior, or --boundary together with --mu")
 
 
-def _load_problem(config: RunConfig):
+def _load_problem(config: argparse.Namespace):
     """Read the instance and the problem (boundary, mu), in either mode.
 
     The vertex-boundary problem is the boundary-measure problem on the
@@ -179,7 +152,7 @@ def _load_problem(config: RunConfig):
     return mode, None, g, m, boundary, mu
 
 
-def _maybe_project(config: RunConfig, phi: BoundaryData):
+def _maybe_project(config: argparse.Namespace, phi: BoundaryData):
     if config.project and not is_compatible(phi):
         projected, shift = phi.project_centered()
         warning = (
@@ -190,13 +163,13 @@ def _maybe_project(config: RunConfig, phi: BoundaryData):
     return phi, None, None
 
 
-def _out_dir(config: RunConfig) -> Path:
+def _out_dir(config: argparse.Namespace) -> Path:
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _cmd_solve(config: RunConfig) -> int:
+def _cmd_solve(config: argparse.Namespace) -> int:
     mode, sub, g, m, boundary, mu = _load_problem(config)
     _require(config, "phi")
     phi = BoundaryData(values=fileio.read_vertex_function(config.phi), measure=mu)
@@ -232,7 +205,7 @@ def _cmd_solve(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_simulate(config: RunConfig) -> int:
+def _cmd_simulate(config: argparse.Namespace) -> int:
     mode, _, g, m, boundary, mu = _load_problem(config)
     _require(config, "start", "T")
     if config.N < 2:
@@ -246,9 +219,7 @@ def _cmd_simulate(config: RunConfig) -> int:
 
     # spectral value of the same finite-horizon expectation, as reference
     spec = eigendecompose(g, m)
-    fvec = np.zeros(g.n)
-    for y in boundary:
-        fvec[g.index(y)] = phi.values[y] * mu[y] / m[y]
+    fvec = _occupation_weights(g, boundary, m, mu, phi)
     ref = heat_time_integral(spec, fvec, config.T)[str(config.start)]
     z = (est.value - ref) / est.stderr if est.stderr > 0 else None
 
@@ -275,7 +246,7 @@ def _cmd_simulate(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_kernel(config: RunConfig) -> int:
+def _cmd_kernel(config: argparse.Namespace) -> int:
     g, m = _load_instance(config)
     if not config.times:
         raise InputError(
@@ -298,7 +269,7 @@ def _cmd_kernel(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify(config: RunConfig) -> int:
+def _cmd_verify(config: argparse.Namespace) -> int:
     g, m = _load_instance(config)
     _require(config, "interior")
     interior = fileio.read_vertex_set(config.interior)
@@ -320,16 +291,16 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    return _COMMANDS[config.command](config)
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    config = _build_parser({}).parse_args(argv)
     try:
-        config = _merge_config(args, parser)
-        return run(config)
+        if config.config:
+            config = _build_parser(_read_config(config.config)).parse_args(argv)
+        with warnings.catch_warnings():
+            # stderr holds one JSON error; the direct route's residual gate,
+            # not scipy's rcond warning, reports a near-singular solve
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            return _COMMANDS[config.command](config)
     except GneumannError as e:
         # non-finite floats as strings keep the error object strict JSON
         context = {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v

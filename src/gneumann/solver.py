@@ -10,11 +10,11 @@ summation, truncated heat-semigroup time integral) plus a variant where
 the boundary is any designated vertex set carrying its own finite measure
 mu.  The variant is the core: the direct vertex-boundary route is the
 boundary-measure solve on the closure graph with mu = m restricted to
-the vertex boundary, and one residual routine serves every route and
-``verify_solution``.  The linear algebra is dense, on the Laplacian
-filled from the graph's CSR arrays.  All routes return the same centered
-solution up to numerical tolerance, which the test suites exploit as a
-cross-check.
+the vertex boundary, and one problem check and one residual routine
+serve every route and ``verify_solution``.  The linear algebra is dense,
+on the Laplacian filled from the graph's CSR arrays.  All routes return
+the same centered solution up to numerical tolerance, which the test
+suites exploit as a cross-check.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import scipy.linalg
 from .errors import (
     DisconnectedError,
     DomainMismatchError,
+    IllConditionedError,
     IncompatibleDataError,
     NonpositiveToleranceError,
 )
@@ -56,6 +57,10 @@ __all__ = [
 
 # relative compatibility tolerance: |sum phi dmu| <= RTOL * max(1, sum |phi| dmu)
 COMPATIBILITY_RTOL = 1e-10
+# direct-solve residual gate: each row's residual <= RESIDUAL_RTOL * max(1, s),
+# s the largest |phi| * max(1, mu/m) on the boundary, or else within the
+# rounding floor of that row
+RESIDUAL_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -114,18 +119,6 @@ class SolutionReport:
     passed: bool
 
 
-def _coerce_boundary_data(sub: SubgraphClosure, phi) -> BoundaryData:
-    if isinstance(phi, BoundaryData):
-        if phi.boundary != sub.boundary_set:
-            raise DomainMismatchError(
-                "boundary data is not defined on the closure boundary",
-                expected=sorted(sub.boundary_set),
-                got=sorted(phi.boundary),
-            )
-        return phi
-    return BoundaryData.for_closure(sub, phi)
-
-
 def check_compatibility(phi: BoundaryData) -> float:
     """Signed total of the boundary data against its measure.
 
@@ -151,87 +144,19 @@ def _require_compatible(phi: BoundaryData) -> None:
 
 
 def _residuals(g: WeightedGraph, mv: np.ndarray, bidx: np.ndarray, flux: np.ndarray,
-               muv: np.ndarray, uvec: np.ndarray) -> tuple[float, float, float]:
-    """Laplacian residual off the boundary, weak-identity mismatch
-    |(Lu)(y) - phi(y) mu(y)| / mu(y) on it, and the centering total."""
-    lap = g.laplacian_matrix @ uvec
+               muv: np.ndarray, uvec: np.ndarray) -> tuple:
+    """Largest Laplacian residual |Lu| / m off the boundary, largest
+    weak-identity mismatch |(Lu)(y) - phi(y) mu(y)| / mu(y) on it, the
+    centering total, and these residuals row by row with the weight (m or
+    mu) each row is divided by."""
+    r = g.laplacian_matrix @ uvec
+    r[bidx] -= flux * muv
+    w = mv.copy()
+    w[bidx] = muv
+    rel = np.abs(r) / w
     off = np.ones(g.n, dtype=bool)
     off[bidx] = False
-    res_int = float(np.max(np.abs(lap[off]) / mv[off], initial=0.0))
-    res_bd = float(np.max(np.abs(lap[bidx] - flux * muv) / muv))
-    return res_int, res_bd, float(uvec @ mv)
-
-
-def _closure_problem(sub: SubgraphClosure, phi: BoundaryData) -> tuple:
-    """The arguments of ``_residuals`` for a closure, whose boundary
-    measure is m restricted to the boundary."""
-    b = sub.boundary_index
-    return sub.graph, sub.measure_vector, b, phi.values.to_vector(sub.boundary), sub.measure_vector[b]
-
-
-def _finish(problem: tuple, uvec, method, horizon=None) -> NeumannSolution:
-    res_int, res_bd, centering = _residuals(*problem, uvec)
-    return NeumannSolution(
-        u=VertexFunction.from_vector(problem[0].vertices, uvec),
-        method=method,
-        residual_interior=res_int,
-        residual_boundary=res_bd,
-        centering=centering,
-        truncation_horizon=horizon,
-    )
-
-
-def solve_direct(sub: SubgraphClosure, phi) -> NeumannSolution:
-    """Direct route: the boundary-measure solve on the closure graph with
-    mu the ambient measure restricted to the vertex boundary."""
-    phi = _coerce_boundary_data(sub, phi)
-    return solve_boundary_measure(sub.graph, sub.boundary, sub.measure, sub.boundary_measure(), phi)
-
-
-def solve_green(sub: SubgraphClosure, phi, spec: Spectrum) -> NeumannSolution:
-    """Green-kernel route: u(x) = sum over boundary y of
-    phi(y) g(x,y) m(y); centered automatically since the kernel rows
-    integrate to zero."""
-    phi = _coerce_boundary_data(sub, phi)
-    check_spectrum_matches(spec, sub.graph, sub.measure)
-    _require_compatible(phi)
-    G = green_kernel(spec).entries
-    g = sub.graph
-    uvec = np.zeros(g.n)
-    for y in sub.boundary:
-        uvec += phi.values[y] * sub.measure[y] * G[:, g.index(y)]
-    return _finish(_closure_problem(sub, phi), uvec, "green")
-
-
-def solve_heat_integral(sub: SubgraphClosure, phi, spec: Spectrum, tol: float) -> NeumannSolution:
-    """Heat-semigroup route: the time integral of the heat semigroup
-    applied to the boundary data, up to a horizon T, then recentered.
-
-    T is chosen from the mixing bound so the neglected tail is below
-    ``tol`` in sup norm.
-    """
-    phi = _coerce_boundary_data(sub, phi)
-    check_spectrum_matches(spec, sub.graph, sub.measure)
-    if not (isinstance(tol, (int, float)) and tol > 0):
-        raise NonpositiveToleranceError(f"tolerance must be positive, got {tol}")
-    _require_compatible(phi)
-
-    g = sub.graph
-    mass = sum(abs(phi.values[y]) * sub.measure[y] for y in sub.boundary)
-    if mass == 0.0:
-        return _finish(_closure_problem(sub, phi), np.zeros(g.n), "heat-integral", horizon=0.0)
-
-    c1, c2 = mixing_constants(spec, 1e-9)
-    # tail of the time integral beyond T is bounded by c1 * mass * e^{-c2 T} / c2
-    T = math.log(c1 * mass / (c2 * tol)) / c2
-    T = max(T, 1e-6)
-
-    # phi extended by zero to the closure, as dictated by the boundary sum
-    fvec = np.zeros(g.n)
-    fvec[sub.boundary_index] = phi.values.to_vector(sub.boundary)
-    uvec = heat_time_integral(spec, fvec, T).to_vector(sub.closure)
-    uvec -= (uvec @ sub.measure_vector) / sub.measure.total
-    return _finish(_closure_problem(sub, phi), uvec, "heat-integral", horizon=T)
+    return float(np.max(rel[off], initial=0.0)), float(np.max(rel[bidx])), float(uvec @ mv), rel, w
 
 
 def _boundary_values(g: WeightedGraph, boundary,
@@ -240,8 +165,8 @@ def _boundary_values(g: WeightedGraph, boundary,
 
     The boundary must be a non-empty set of vertices of g, and phi (a
     ``BoundaryData``, a ``VertexFunction`` or a mapping) must be defined
-    exactly on it.  The solve core and the Monte Carlo estimator both
-    check their boundary data here.
+    exactly on it.  ``_problem`` and the Monte Carlo estimator both check
+    their boundary data here.
     """
     boundary = tuple(str(v) for v in boundary)
     if not boundary:
@@ -259,6 +184,85 @@ def _boundary_values(g: WeightedGraph, boundary,
     return boundary, values, np.array([g.index(y) for y in boundary], dtype=np.intp)
 
 
+def _problem(g: WeightedGraph, boundary, m: Measure, mu: Measure, phi,
+             centered: bool = True) -> tuple:
+    """The checked problem as the arguments of ``_residuals`` before the
+    solution: (g, m, boundary indices, phi, mu), the last four as vectors.
+
+    The one boundary-data check of every route: ``_boundary_values``,
+    then the measure a ``BoundaryData`` carries must be mu, and, unless
+    ``centered`` is false, phi must be centered against mu.
+    """
+    boundary, values, bidx = _boundary_values(g, boundary, phi)
+    if isinstance(phi, BoundaryData) and phi.measure != mu:
+        raise DomainMismatchError("boundary data carries a different measure than mu")
+    if centered:
+        _require_compatible(BoundaryData(values=values, measure=mu))
+    return g, m.to_vector(g.vertices), bidx, values.to_vector(boundary), mu.to_vector(boundary)
+
+
+def _finish(problem: tuple, uvec, method, horizon=None) -> NeumannSolution:
+    res_int, res_bd, centering, _, _ = _residuals(*problem, uvec)
+    return NeumannSolution(
+        u=VertexFunction.from_vector(problem[0].vertices, uvec),
+        method=method,
+        residual_interior=res_int,
+        residual_boundary=res_bd,
+        centering=centering,
+        truncation_horizon=horizon,
+    )
+
+
+def solve_direct(sub: SubgraphClosure, phi) -> NeumannSolution:
+    """Direct route: the boundary-measure solve on the closure graph with
+    mu the ambient measure restricted to the vertex boundary."""
+    return solve_boundary_measure(sub.graph, sub.boundary, sub.measure, sub.boundary_measure(), phi)
+
+
+def solve_green(sub: SubgraphClosure, phi, spec: Spectrum) -> NeumannSolution:
+    """Green-kernel route: u(x) = sum over boundary y of
+    phi(y) g(x,y) m(y); centered automatically since the kernel rows
+    integrate to zero."""
+    problem = _problem(sub.graph, sub.boundary, sub.measure, sub.boundary_measure(), phi)
+    check_spectrum_matches(spec, sub.graph, sub.measure)
+    _, _, bidx, flux, muv = problem
+    G = green_kernel(spec).entries
+    uvec = np.zeros(sub.graph.n)
+    for f, w, i in zip(flux.tolist(), muv.tolist(), bidx.tolist()):
+        uvec += f * w * G[:, i]
+    return _finish(problem, uvec, "green")
+
+
+def solve_heat_integral(sub: SubgraphClosure, phi, spec: Spectrum, tol: float) -> NeumannSolution:
+    """Heat-semigroup route: the time integral of the heat semigroup
+    applied to the boundary data, up to a horizon T, then recentered.
+
+    T is chosen from the mixing bound so the neglected tail is below
+    ``tol`` in sup norm.
+    """
+    problem = _problem(sub.graph, sub.boundary, sub.measure, sub.boundary_measure(), phi)
+    check_spectrum_matches(spec, sub.graph, sub.measure)
+    if not (isinstance(tol, (int, float)) and tol > 0):
+        raise NonpositiveToleranceError(f"tolerance must be positive, got {tol}")
+
+    g, mv, bidx, flux, muv = problem
+    mass = sum(abs(f) * w for f, w in zip(flux.tolist(), muv.tolist()))
+    if mass == 0.0:
+        return _finish(problem, np.zeros(g.n), "heat-integral", horizon=0.0)
+
+    c1, c2 = mixing_constants(spec, 1e-9)
+    # tail of the time integral beyond T is bounded by c1 * mass * e^{-c2 T} / c2
+    T = math.log(c1 * mass / (c2 * tol)) / c2
+    T = max(T, 1e-6)
+
+    # phi extended by zero to the closure, as dictated by the boundary sum
+    fvec = np.zeros(g.n)
+    fvec[bidx] = flux
+    uvec = heat_time_integral(spec, fvec, T).to_vector(sub.closure)
+    uvec -= (uvec @ mv) / sub.measure.total
+    return _finish(problem, uvec, "heat-integral", horizon=T)
+
+
 def solve_boundary_measure(g: WeightedGraph, boundary, m: Measure, mu: Measure, phi) -> NeumannSolution:
     """Neumann problem for a designated boundary set carrying its own
     finite measure mu, on the whole graph.
@@ -269,18 +273,15 @@ def solve_boundary_measure(g: WeightedGraph, boundary, m: Measure, mu: Measure, 
     Compatibility is centering against mu.  The vertex-boundary problem
     of a closure is the case of the closure graph with mu the ambient
     measure restricted to the vertex boundary, which is how
-    ``solve_direct`` calls it.
+    ``solve_direct`` calls it.  A row whose residual exceeds both
+    ``RESIDUAL_RTOL`` times the scale of the data and its own rounding
+    floor raises ``IllConditionedError``.
     """
-    boundary, values, bidx = _boundary_values(g, boundary, phi)
+    problem = _problem(g, boundary, m, mu, phi)
     if not is_connected(g):
         raise DisconnectedError("graph is not connected")
-    if isinstance(phi, BoundaryData) and phi.measure != mu:
-        raise DomainMismatchError("boundary data carries a different measure than mu")
-    _require_compatible(BoundaryData(values=values, measure=mu))
 
-    mv = m.to_vector(g.vertices)
-    flux = values.to_vector(boundary)
-    muv = mu.to_vector(boundary)
+    _, mv, bidx, flux, muv = problem
     # the singular symmetric system with the centering row appended as a
     # Lagrange constraint; its solution is the centered u
     n = g.n
@@ -290,17 +291,36 @@ def solve_boundary_measure(g: WeightedGraph, boundary, m: Measure, mu: Measure, 
     b = np.zeros(n + 1)
     b[bidx] = flux * muv
     uvec = scipy.linalg.solve(K, b, assume_a="sym")[:n]
-    return _finish((g, mv, bidx, flux, muv), uvec, "direct")
+    # each row is judged against the data, whose load phi * mu makes Lu / m
+    # of size |phi| mu / m on the boundary, and against the rounding floor of
+    # its own residual: (row length + 2) eps times the row products |L| |u|
+    _, _, _, rel, w = _residuals(*problem, uvec)
+    au = np.abs(uvec)
+    row_abs = g.deg * au + np.bincount(g.rows, weights=g.data * au[g.indices], minlength=n)
+    floor = (np.diff(g.indptr) + 2) * np.finfo(float).eps * row_abs / w
+    scale = max(1.0, float(np.max(np.abs(flux) * np.maximum(1.0, muv / mv[bidx]))))
+    tol = np.maximum(RESIDUAL_RTOL * scale, floor)
+    k = int(np.argmax(rel / tol))
+    if rel[k] > tol[k]:
+        raise IllConditionedError(
+            "direct solve residual exceeds its tolerance; the system is ill-conditioned",
+            vertex=g.vertices[k],
+            residual=float(rel[k]),
+            tolerance=float(tol[k]),
+        )
+    return _finish(problem, uvec, "direct")
 
 
 def verify_solution(sub: SubgraphClosure, sol: NeumannSolution, phi, tol: float = 1e-9) -> SolutionReport:
     """Recompute the residuals of a claimed solution from scratch.
 
     Returns the interior Laplacian residual, the boundary mismatch, and
-    the centering total, with a pass/fail verdict against ``tol``.
+    the centering total, with a pass/fail verdict against ``tol``; data
+    that is not centered gets a report too.
     """
-    phi = _coerce_boundary_data(sub, phi)
-    res_int, res_bd, centering = _residuals(*_closure_problem(sub, phi), sol.u.to_vector(sub.closure))
+    problem = _problem(sub.graph, sub.boundary, sub.measure, sub.boundary_measure(), phi,
+                       centered=False)
+    res_int, res_bd, centering, _, _ = _residuals(*problem, sol.u.to_vector(sub.closure))
     passed = res_int <= tol and res_bd <= tol and abs(centering) <= tol * max(1.0, sub.measure.total)
     return SolutionReport(
         residual_interior=res_int,

@@ -370,6 +370,18 @@ def mc_estimate(sub: SubgraphClosure, phi, x0, T: float, N: int, seed: int,
     )
 
 
+def _occupation_weights(g: WeightedGraph, boundary, m: Measure, mu: Measure,
+                        phi) -> np.ndarray:
+    """phi * mu / m on the checked boundary and 0 elsewhere, in g's vertex
+    order: the rate at which the boundary integral accrues at each vertex.
+    mu, not the measure a ``BoundaryData`` carries, weights the occupation."""
+    boundary, values, bidx = _boundary_values(g, boundary, phi)
+    weights = np.zeros(g.n)
+    mu_b = np.array([mu[y] for y in boundary])
+    weights[bidx] = values.to_vector(boundary) * mu_b / np.array([m[y] for y in boundary])
+    return weights
+
+
 def mc_estimate_measure(g: WeightedGraph, boundary: Sequence, m: Measure, mu: Measure,
                         phi, x0, T: float, N: int, seed: int) -> MCEstimate:
     """Boundary-measure Monte Carlo on an arbitrary graph: the chain runs
@@ -381,12 +393,7 @@ def mc_estimate_measure(g: WeightedGraph, boundary: Sequence, m: Measure, mu: Me
     x0 = str(x0)
     if x0 not in g:
         raise UnknownVertexError(f"start vertex {x0!r} not in graph", vertex=x0)
-    boundary, values, bidx = _boundary_values(g, boundary, phi)
-
-    # mu, not the measure a BoundaryData carries, weights the occupation
-    weights = np.zeros(g.n)
-    for y, i in zip(boundary, bidx.tolist()):
-        weights[i] = values[y] * mu[y] / m[y]
+    weights = _occupation_weights(g, boundary, m, mu, phi)
 
     chain = _ChainParams(g, m)
     i0 = g.index(x0)
