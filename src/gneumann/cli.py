@@ -16,8 +16,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import scipy.linalg
-
 from . import fileio
 from .errors import GneumannError, InputError
 from .graphs import closure_subgraph
@@ -164,6 +162,8 @@ def _maybe_project(config: argparse.Namespace, phi: BoundaryData):
 
 
 def _out_dir(config: argparse.Namespace) -> Path:
+    """The output directory, created when the first output is written, so a
+    command that fails leaves none behind."""
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -174,7 +174,6 @@ def _cmd_solve(config: argparse.Namespace) -> int:
     _require(config, "phi")
     phi = BoundaryData(values=fileio.read_vertex_function(config.phi), measure=mu)
     phi, shift, warning = _maybe_project(config, phi)
-    out = _out_dir(config)
     summary: dict = {"mode": mode}
 
     if config.method != "direct":  # the loader admits these only on a closure
@@ -188,6 +187,7 @@ def _cmd_solve(config: argparse.Namespace) -> int:
     else:
         sol = solve_boundary_measure(g, boundary, m, mu, phi)
 
+    out = _out_dir(config)
     fileio.write_solution_csv(sol.u, boundary, g.vertices, out / "solution.csv")
     summary.update({
         "method": sol.method,
@@ -212,8 +212,6 @@ def _cmd_simulate(config: argparse.Namespace) -> int:
         raise InputError(f"simulation needs N >= 2, got {config.N}")
     _require(config, "phi")
     phi = BoundaryData(values=fileio.read_vertex_function(config.phi), measure=mu)
-    out = _out_dir(config)
-
     est = mc_estimate_measure(g, boundary, m, mu, phi, config.start, config.T, config.N,
                               config.seed)
 
@@ -234,6 +232,7 @@ def _cmd_simulate(config: argparse.Namespace) -> int:
         "z_score": z,
         "mode": mode,
     }
+    out = _out_dir(config)
     fileio.write_json(report, out / "estimate.json")
 
     if config.dump_paths:
@@ -260,8 +259,8 @@ def _cmd_kernel(config: argparse.Namespace) -> int:
         raise InputError(f"cannot parse --times: {e}") from e
     for _, t in times:  # every time, before any output is written
         _check_time(t)
-    out = _out_dir(config)
     spec = eigendecompose(g, m)
+    out = _out_dir(config)
     for tok, t in times:
         fileio.write_kernel_csv(heat_kernel(spec, t), out / f"heat_t{tok}.csv")
     fileio.write_kernel_csv(green_kernel(spec), out / "green.csv")
@@ -297,9 +296,9 @@ def main(argv=None) -> int:
         if config.config:
             config = _build_parser(_read_config(config.config)).parse_args(argv)
         with warnings.catch_warnings():
-            # stderr holds one JSON error; the direct route's residual gate,
-            # not scipy's rcond warning, reports a near-singular solve
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            # stderr holds one JSON error; the residual gate, not scipy's
+            # rcond warning (a RuntimeWarning), reports a near-singular solve
+            warnings.simplefilter("ignore", RuntimeWarning)
             return _COMMANDS[config.command](config)
     except GneumannError as e:
         # non-finite floats as strings keep the error object strict JSON

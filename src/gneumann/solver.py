@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DisconnectedError,
@@ -57,7 +56,7 @@ __all__ = [
 
 # relative compatibility tolerance: |sum phi dmu| <= RTOL * max(1, sum |phi| dmu)
 COMPATIBILITY_RTOL = 1e-10
-# direct-solve residual gate: each row's residual <= RESIDUAL_RTOL * max(1, s),
+# residual gate of every route: each row's residual <= RESIDUAL_RTOL * max(1, s),
 # s the largest |phi| * max(1, mu/m) on the boundary, or else within the
 # rounding floor of that row
 RESIDUAL_RTOL = 1e-6
@@ -201,10 +200,34 @@ def _problem(g: WeightedGraph, boundary, m: Measure, mu: Measure, phi,
     return g, m.to_vector(g.vertices), bidx, values.to_vector(boundary), mu.to_vector(boundary)
 
 
-def _finish(problem: tuple, uvec, method, horizon=None) -> NeumannSolution:
-    res_int, res_bd, centering, _, _ = _residuals(*problem, uvec)
+def _finish(problem: tuple, uvec, method, horizon=None, slack=0.0) -> NeumannSolution:
+    """The solution and its residuals, once it passes the residual gate
+    every route shares.
+
+    Each row is judged against the data, whose load phi * mu makes Lu / m
+    of size |phi| mu / m on the boundary, and against the rounding floor
+    of its own residual: (row length + 2) eps times the row products
+    |L| |u|.  ``slack`` is the residual a route admits by construction
+    (the heat route's truncated tail).  A row beyond both raises
+    ``IllConditionedError``.
+    """
+    g, mv, bidx, flux, muv = problem
+    res_int, res_bd, centering, rel, w = _residuals(*problem, uvec)
+    au = np.abs(uvec)
+    row_abs = g.deg * au + np.bincount(g.rows, weights=g.data * au[g.indices], minlength=g.n)
+    floor = (np.diff(g.indptr) + 2) * np.finfo(float).eps * row_abs / w
+    scale = max(1.0, float(np.max(np.abs(flux) * np.maximum(1.0, muv / mv[bidx]))))
+    tol = np.maximum(RESIDUAL_RTOL * scale, floor) + slack
+    k = int(np.argmax(rel / tol))
+    if rel[k] > tol[k]:
+        raise IllConditionedError(
+            f"{method} solve residual exceeds its tolerance; the system is ill-conditioned",
+            vertex=g.vertices[k],
+            residual=float(rel[k]),
+            tolerance=float(tol[k]),
+        )
     return NeumannSolution(
-        u=VertexFunction.from_vector(problem[0].vertices, uvec),
+        u=VertexFunction.from_vector(g.vertices, uvec),
         method=method,
         residual_interior=res_int,
         residual_boundary=res_bd,
@@ -260,7 +283,10 @@ def solve_heat_integral(sub: SubgraphClosure, phi, spec: Spectrum, tol: float) -
     fvec[bidx] = flux
     uvec = heat_time_integral(spec, fvec, T).to_vector(sub.closure)
     uvec -= (uvec @ mv) / sub.measure.total
-    return _finish(problem, uvec, "heat-integral", horizon=T)
+    # the residual Lu / m - f is the semigroup at T applied to f, which the
+    # mixing bound caps at c1 * mass * e^{-c2 T}
+    return _finish(problem, uvec, "heat-integral", horizon=T,
+                   slack=c1 * mass * math.exp(-c2 * T))
 
 
 def solve_boundary_measure(g: WeightedGraph, boundary, m: Measure, mu: Measure, phi) -> NeumannSolution:
@@ -273,10 +299,11 @@ def solve_boundary_measure(g: WeightedGraph, boundary, m: Measure, mu: Measure, 
     Compatibility is centering against mu.  The vertex-boundary problem
     of a closure is the case of the closure graph with mu the ambient
     measure restricted to the vertex boundary, which is how
-    ``solve_direct`` calls it.  A row whose residual exceeds both
-    ``RESIDUAL_RTOL`` times the scale of the data and its own rounding
-    floor raises ``IllConditionedError``.
+    ``solve_direct`` calls it.  The dense LU is scipy's, whose
+    ``LinAlgWarning`` on a near-singular system reaches the caller.
     """
+    import scipy.linalg  # the only scipy use: loaded by the routes that factor
+
     problem = _problem(g, boundary, m, mu, phi)
     if not is_connected(g):
         raise DisconnectedError("graph is not connected")
@@ -291,23 +318,6 @@ def solve_boundary_measure(g: WeightedGraph, boundary, m: Measure, mu: Measure, 
     b = np.zeros(n + 1)
     b[bidx] = flux * muv
     uvec = scipy.linalg.solve(K, b, assume_a="sym")[:n]
-    # each row is judged against the data, whose load phi * mu makes Lu / m
-    # of size |phi| mu / m on the boundary, and against the rounding floor of
-    # its own residual: (row length + 2) eps times the row products |L| |u|
-    _, _, _, rel, w = _residuals(*problem, uvec)
-    au = np.abs(uvec)
-    row_abs = g.deg * au + np.bincount(g.rows, weights=g.data * au[g.indices], minlength=n)
-    floor = (np.diff(g.indptr) + 2) * np.finfo(float).eps * row_abs / w
-    scale = max(1.0, float(np.max(np.abs(flux) * np.maximum(1.0, muv / mv[bidx]))))
-    tol = np.maximum(RESIDUAL_RTOL * scale, floor)
-    k = int(np.argmax(rel / tol))
-    if rel[k] > tol[k]:
-        raise IllConditionedError(
-            "direct solve residual exceeds its tolerance; the system is ill-conditioned",
-            vertex=g.vertices[k],
-            residual=float(rel[k]),
-            tolerance=float(tol[k]),
-        )
     return _finish(problem, uvec, "direct")
 
 

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DisconnectedError,
@@ -36,9 +35,6 @@ __all__ = [
     "heat_time_integral",
     "check_spectrum_matches",
 ]
-
-# relative threshold below which an eigenvalue counts as zero
-ZERO_EIGENVALUE_RTOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,6 +99,13 @@ def eigendecompose(g: WeightedGraph, m: Measure) -> Spectrum:
     eigenvectors back through diag(m)^{-1/2}, which keeps them
     orthonormal in the weighted inner product.  Eigenfunction signs are
     fixed so the first nonvanishing coordinate is positive.
+
+    The eigensolve is LAPACK's divide-and-conquer ``dsyevd`` (Gu &
+    Eisenstat, 1995) through ``numpy.linalg.eigh``.  A connected graph has
+    exactly one zero mode, so the smallest eigenvalue is set to 0.0; the
+    spectrum is refused when the next one is below the eigensolver's
+    backward error n * eps * lambda_max, where roundoff cannot tell it
+    from zero.
     """
     if not is_connected(g):
         raise DisconnectedError("graph is not connected")
@@ -110,7 +113,7 @@ def eigendecompose(g: WeightedGraph, m: Measure) -> Spectrum:
     inv_sqrt = 1.0 / np.sqrt(mv)
     S = inv_sqrt[:, None] * g.laplacian_matrix * inv_sqrt[None, :]
     S = 0.5 * (S + S.T)
-    w, V = scipy.linalg.eigh(S)
+    w, V = np.linalg.eigh(S)
 
     psi = inv_sqrt[:, None] * V
     # renormalize in the weighted inner product (a near no-op after the
@@ -125,17 +128,14 @@ def eigendecompose(g: WeightedGraph, m: Measure) -> Spectrum:
         if nz.size and col[nz[0]] < 0:
             psi[:, k] = -col
 
-    lam_max = max(1.0, float(w[-1]))
-    n_zero = int(np.count_nonzero(w < ZERO_EIGENVALUE_RTOL * lam_max))
-    if n_zero != 1:
-        # a connected graph has exactly one zero mode; more or fewer are
-        # eigenvalues that roundoff cannot tell apart from zero
+    floor = g.n * np.finfo(float).eps * float(w[-1])
+    n_zero = 1 + int(np.count_nonzero(w[1:] < floor))
+    if n_zero > 1:
         raise IllConditionedError(
             f"expected exactly one zero mode on a connected graph, found {n_zero}: "
             "the Laplacian is too ill-conditioned to resolve its spectrum",
             n_zero_modes=n_zero,
         )
-    w = w.copy()
     w[0] = 0.0
     w.flags.writeable = False
     psi.flags.writeable = False

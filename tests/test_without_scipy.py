@@ -1,0 +1,71 @@
+"""The spectral and Monte Carlo commands run without scipy; only the
+direct route's LU loads it."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gneumann as gn
+
+SRC = str(Path(gn.__file__).resolve().parents[1])
+
+# runs the CLI on argv with scipy refused when the first argument is
+# "refuse", and prints whether scipy was loaded
+RUNNER = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is refused")
+        return None
+
+if sys.argv[1] == "refuse":
+    sys.meta_path.insert(0, RefuseScipy())
+from gneumann.cli import main
+rc = main(sys.argv[2:])
+print("scipy" in sys.modules)
+sys.exit(rc)
+"""
+
+
+@pytest.fixture
+def p3_args(tmp_path):
+    (tmp_path / "graph.tsv").write_text("1\t2\t1.0\n2\t3\t1.0\n")
+    (tmp_path / "measure.tsv").write_text("1\t1.0\n2\t1.0\n3\t1.0\n")
+    (tmp_path / "interior.tsv").write_text("2\n")
+    (tmp_path / "phi.tsv").write_text("1\t1.0\n3\t-1.0\n")
+    return ["--graph", str(tmp_path / "graph.tsv"), "--measure", str(tmp_path / "measure.tsv"),
+            "--out", str(tmp_path / "out")]
+
+
+def _run(mode, argv):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, "-c", RUNNER, mode, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def _closure(tmp_path):
+    return ["--interior", str(tmp_path / "interior.tsv"), "--phi", str(tmp_path / "phi.tsv")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--start", "2", "--T", "1", "--N", "100"],
+    ["kernel", "--times", "0.5,2"],
+    ["solve", "--method", "green"],
+    ["solve", "--method", "heat-integral"],
+], ids=["simulate", "kernel", "solve-green", "solve-heat-integral"])
+def test_command_runs_with_scipy_refused(tmp_path, p3_args, argv):
+    extra = [] if argv[0] == "kernel" else _closure(tmp_path)
+    proc = _run("refuse", argv + p3_args + extra)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_direct_solve_loads_scipy(tmp_path, p3_args):
+    proc = _run("allow", ["solve", "--method", "direct"] + p3_args + _closure(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
