@@ -2,17 +2,27 @@
 
 Inputs are UTF-8 TSV: edges as ``x<TAB>y<TAB>weight``, measures and
 vertex functions as ``x<TAB>value``, vertex sets one identifier per
-line; ``#`` starts a comment.  Outputs are CSV and JSON with numbers at
-17 significant digits so doubles round-trip losslessly, and JSON keys
-sorted so identical runs produce identical bytes.
+line; ``#`` starts a comment.  The readers parse a file in chunks of
+about 1 MiB (2^15 lines of an edge list) cut at line ends, and turn each
+chunk's cells into index and value arrays before reading the next, so
+the strings held at once are bounded by a chunk, not by the file, unless
+a line is longer than a chunk or the only line breaks are the multibyte
+ones (U+0085, U+2028, U+2029), which are never cut at.  A bad
+line is reported as ``path:line``, the first one in file order.  Outputs
+are CSV and JSON with numbers at 17 significant digits so doubles
+round-trip losslessly, and JSON keys sorted so identical runs produce
+identical bytes.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from itertools import count
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import InputError
 from .forms import VertexFunction
@@ -38,75 +48,169 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _data_lines(path) -> Iterable[tuple[int, str]]:
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if line.strip():
-            yield lineno, line
+# bytes read per chunk, about 2^15 lines of an edge list: the parse holds
+# one chunk's strings at a time beside the arrays it accumulates
+_CHUNK_BYTES = 1 << 20
+# substrings that call for comment stripping, trimming, skipping an empty
+# line or a line break other than \n
+_UNPLAIN = ("#", " ", "\t\n", "\n\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
+# the one-byte line breaks of ``str.splitlines`` other than \n
+_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+
+
+def _texts(path) -> Iterator[str]:
+    """The file's text in chunks that each end with a line break (the
+    last one is given a newline), so their ``str.splitlines`` lines are
+    those of the whole text."""
+    with open(path, "rb") as fh:
+        held: list[bytes] = []  # what was read since the last cut
+        while data := fh.read(_CHUNK_BYTES):
+            cut = _last_break(data)
+            if cut:
+                yield _decode(path, b"".join(held) + data[:cut])
+                held = [data[cut:]]
+            else:
+                held.append(data)
+        if rest := b"".join(held):
+            yield _decode(path, rest + b"\n")
+
+
+def _last_break(data: bytes) -> int:
+    """The end of the last line break in ``data``: its last LF or, if it
+    has none, another one-byte break before its final byte (a final CR
+    may begin a CRLF); 0 if there is none.  These bytes never occur
+    inside a multibyte UTF-8 character."""
+    return (data.rfind(b"\n") + 1
+            or max(data.rfind(c, 0, len(data) - 1) for c in _BREAKS) + 1)
+
+
+def _decode(path, data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError:
+        Path(path).read_text(encoding="utf-8")  # the same error, positioned in the whole file
+        raise
+
+
+def _bad_line(path, lineno: int, message: str) -> InputError:
+    """A file that is not UTF-8 throughout raises its decoding error before
+    any line error, as when the whole text was read at once."""
+    Path(path).read_text(encoding="utf-8")
+    return InputError(f"{path}:{lineno}: {message}")
+
+
+def _plain(text: str, fields: int) -> bool:
+    """True when each line of ``text`` is ``fields`` bare cells joined by
+    tabs and ended by \n, so that the text splits into cells in one pass."""
+    if not text.isascii() or text.startswith("\n") or any(s in text for s in _UNPLAIN):
+        return False
+    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    kinds = b[(b == 9) | (b == 10)]  # the tabs and newlines in order
+    line = np.array([9] * (fields - 1) + [10], dtype=np.uint8)
+    return kinds.size % fields == 0 and bool((kinds.reshape(-1, fields) == line).all())
+
+
+def _records(path, fields: int, expected: str) -> Iterator[tuple[Sequence[int], list[str]]]:
+    """The data lines of a TSV file, a chunk at a time, as (line numbers,
+    cells): ``fields`` stripped cells per line, flat, in file order.
+
+    A data line is what is left of a line before its ``#`` once trailing
+    whitespace is removed, if anything is.  It splits at tabs into
+    ``fields`` cells; a single field is the whole trimmed line.  A line
+    with another count ends the data after the lines before it are
+    yielded, so a consumer that rejects one of those raises first.
+    """
+    lineno = 1
+    for text in _texts(path):
+        if _plain(text, fields):
+            cells = text.replace("\n", "\t").split("\t")
+            cells.pop()  # after the last newline
+            lineno += len(cells) // fields
+            yield range(lineno - len(cells) // fields, lineno), cells
+            continue
+        numbers, cells = [], []
+        for raw in text.splitlines():
+            line = raw.split("#", 1)[0].rstrip()
+            if line:
+                parts = line.split("\t") if fields > 1 else [line]
+                if len(parts) != fields:
+                    yield numbers, cells
+                    raise _bad_line(path, lineno, f"expected '{expected}', got {line!r}")
+                numbers.append(lineno)
+                cells.extend(p.strip() for p in parts)
+            lineno += 1
+        yield numbers, cells
+
+
+def _floats(path, lines: Sequence[int], cells: list[str], what: str) -> np.ndarray:
+    """The cells as ``float`` parses them (numpy calls it on each one);
+    the first that does not parse raises with its line."""
+    try:
+        return np.array(cells, dtype=float)
+    except ValueError:
+        for lineno, c in zip(lines, cells):
+            try:
+                float(c)
+            except ValueError:
+                raise _bad_line(path, lineno, f"{what} {c!r} is not a number") from None
+        raise
 
 
 def read_graph(path) -> WeightedGraph:
     """Edge-list TSV; the vertex set is the endpoints in order of first
-    appearance."""
-    vertices: list[str] = []
-    seen: set[str] = set()
-    edges = []
-    for lineno, line in _data_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise InputError(
-                f"{path}:{lineno}: expected 'x<TAB>y<TAB>weight', got {line!r}"
-            )
-        x, y, w = parts[0].strip(), parts[1].strip(), parts[2].strip()
-        try:
-            w = float(w)
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: weight {w!r} is not a number") from None
-        for v in (x, y):
-            if v not in seen:
-                seen.add(v)
-                vertices.append(v)
-        edges.append((x, y, w))
-    if not edges:
+    appearance.
+
+    One dict maps each endpoint name to the position of its first
+    mention; a vertex's index is the rank of that position."""
+    first: dict[str, int] = {}
+    mentions = count()
+    ends, weights = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    for lines, cells in _records(path, 3, "x<TAB>y<TAB>weight"):
+        weights.append(_floats(path, lines, cells[2::3], "weight"))
+        del cells[2::3]  # x, y, x, y, ... in input order
+        ends.append(np.fromiter(map(first.setdefault, cells, mentions), dtype=np.intp,
+                                count=len(cells)))
+    pos = np.concatenate(ends)
+    if not pos.size:
         raise InputError(f"{path}: no edges found")
-    return build_graph(vertices, edges)
+    rank = np.cumsum(pos == np.arange(pos.size)) - 1
+    ij = rank[pos]
+    return build_graph(list(first), arrays=(ij[0::2], ij[1::2], np.concatenate(weights)))
 
 
-def _read_pairs(path, what: str) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for lineno, line in _data_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise InputError(f"{path}:{lineno}: expected 'x<TAB>{what}', got {line!r}")
-        x, v = parts[0].strip(), parts[1].strip()
-        if x in out:
-            raise InputError(f"{path}:{lineno}: duplicate entry for vertex {x!r}")
-        try:
-            out[x] = float(v)
-        except ValueError:
-            raise InputError(f"{path}:{lineno}: value {v!r} is not a number") from None
-    if not out:
+def _read_pairs(path, what: str) -> tuple[list[str], np.ndarray]:
+    names: list[str] = []
+    values = []
+    seen: set[str] = set()
+    for lines, cells in _records(path, 2, f"x<TAB>{what}"):
+        xs = cells[0::2]
+        if len(set(xs)) < len(xs) or not seen.isdisjoint(xs):
+            k = next(k for k, x in enumerate(xs) if x in seen or seen.add(x))
+            _floats(path, lines[:k], cells[1:2 * k:2], "value")  # an earlier bad value wins
+            raise _bad_line(path, lines[k], f"duplicate entry for vertex {xs[k]!r}")
+        seen.update(xs)
+        names += xs
+        values.append(_floats(path, lines, cells[1::2], "value"))
+    if not names:
         raise InputError(f"{path}: no entries found")
-    return out
+    return names, np.concatenate(values)
 
 
 def read_measure(path) -> Measure:
-    return Measure(_read_pairs(path, "m"))
+    names, values = _read_pairs(path, "m")
+    return Measure(dict(zip(names, values.tolist())))
 
 
 def read_vertex_function(path) -> VertexFunction:
-    return VertexFunction(_read_pairs(path, "value"))
+    names, values = _read_pairs(path, "value")
+    return VertexFunction(dict(zip(names, values.tolist())))
 
 
 def read_vertex_set(path) -> tuple[str, ...]:
-    out = []
-    seen = set()
-    for _, line in _data_lines(path):
-        v = line.strip()
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
+    """Identifiers one per line; repeats after the first are dropped."""
+    out: dict[str, None] = {}
+    for _, cells in _records(path, 1, "x"):
+        out.update(dict.fromkeys(cells))
     if not out:
         raise InputError(f"{path}: no vertices found")
     return tuple(out)

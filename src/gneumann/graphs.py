@@ -58,27 +58,50 @@ class WeightedGraph:
     """
 
     def __init__(self, vertices: Sequence, edges: Iterable[tuple]):
-        verts = tuple(_as_vertex(v) for v in vertices)
-        if len(set(verts)) != len(verts):
-            raise UnknownVertexError("duplicate vertex identifiers", vertices=verts)
-        index = {v: i for i, v in enumerate(verts)}
+        """From (x, y, weight) triples, checked and stored as
+        ``from_arrays`` does; an endpoint outside ``vertices`` is a bad
+        edge in the same input order."""
+        verts = tuple(map(str, vertices))
+        index = _vertex_index(verts)
         triples = [(_as_vertex(x), _as_vertex(y), float(w)) for x, y, w in edges]
-        i = np.array([index.get(t[0], -1) for t in triples], dtype=np.intp)
-        j = np.array([index.get(t[1], -1) for t in triples], dtype=np.intp)
-        w = np.array([t[2] for t in triples], dtype=float)
+        # unknown endpoints get indices from n up, named for the error message
+        names = dict(index)
+        i = [names.setdefault(x, len(names)) for x, _, _ in triples]
+        j = [names.setdefault(y, len(names)) for _, y, _ in triples]
+        self._build(verts, index, np.array(i, dtype=np.intp), np.array(j, dtype=np.intp),
+                    np.array([t[2] for t in triples], dtype=float), tuple(names))
 
+    @classmethod
+    def from_arrays(cls, vertices: Sequence, i, j, w) -> "WeightedGraph":
+        """Graph whose k-th edge is (vertices[i[k]], vertices[j[k]], w[k]).
+
+        Every index must lie in ``range(len(vertices))``.  Weights are
+        symmetrized; positive self-loops, negative or non-finite weights
+        and conflicting duplicates are rejected, the first bad edge in
+        input order raising.
+        """
+        verts = tuple(map(str, vertices))
+        g = cls.__new__(cls)
+        g._build(verts, _vertex_index(verts), np.asarray(i, dtype=np.intp),
+                 np.asarray(j, dtype=np.intp), np.asarray(w, dtype=float), verts)
+        return g
+
+    def _build(self, verts: tuple, index: dict, i: np.ndarray, j: np.ndarray, w: np.ndarray,
+               names: tuple) -> None:
+        """Check the edges and store the CSR arrays; ``names`` names every
+        index, the ones from n up being unknown endpoints."""
+        n = len(verts)
         lo, hi = np.minimum(i, j), np.maximum(i, j)
-        known = lo >= 0
+        known = hi < n
         loop = known & (i == j)
         bad_weight = ~(np.isfinite(w) & (w >= 0))
         pair = known & ~loop & ~bad_weight
-        n = len(verts)
-        key = lo * n + hi
+        # the sentinel key n*n lies above every pair key
+        key = np.where(known, lo * n + hi, n * n)
         positive = np.flatnonzero(pair & (w > 0))
         keys, first = np.unique(key[positive], return_index=True)
         kept = np.sort(positive[first])  # first appearance of each pair, in input order
-        # an edge conflicts with the first positive weight given for its pair;
-        # the sentinel key n*n lies above every pair key
+        # an edge conflicts with the first positive weight given for its pair
         keys = np.append(keys, n * n)
         slot = np.searchsorted(keys, key)
         prior = np.append(positive[first], 0)[slot]
@@ -86,7 +109,7 @@ class WeightedGraph:
         bad = ~known | bad_weight | (loop & (w > 0)) | conflict
         if bad.any():
             k = int(np.argmax(bad))
-            _raise_edge_error(triples[k], index, float(w[prior[k]]))
+            _raise_edge_error((names[i[k]], names[j[k]], float(w[k])), index, float(w[prior[k]]))
 
         # degrees accumulate over the interleaved endpoints in input order,
         # which fixes their rounding
@@ -94,7 +117,7 @@ class WeightedGraph:
         self.deg = np.bincount(np.column_stack((lo, hi)).ravel(), weights=np.repeat(w, 2),
                                minlength=n).astype(float, copy=False)
         rows, cols = np.concatenate((lo, hi)), np.concatenate((hi, lo))
-        order = np.lexsort((cols, rows))
+        order = np.argsort(rows * n + cols)  # the keys are distinct: any sort orders them alike
         self.rows, self.indices = rows[order], cols[order]
         self.data = np.concatenate((w, w))[order]
         self.indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
@@ -163,6 +186,13 @@ class WeightedGraph:
 
     def __repr__(self):
         return f"WeightedGraph(n={self.n}, edges={len(self.data) // 2})"
+
+
+def _vertex_index(verts: tuple) -> dict:
+    index = dict(zip(verts, range(len(verts))))
+    if len(index) != len(verts):
+        raise UnknownVertexError("duplicate vertex identifiers", vertices=verts)
+    return index
 
 
 def _raise_edge_error(edge: tuple, index: dict, first: float):
@@ -307,13 +337,17 @@ class SubgraphClosure:
                 f"boundary={len(self._boundary)})")
 
 
-def build_graph(vertices: Sequence, edges: Iterable[tuple]) -> WeightedGraph:
-    """Build a graph from a vertex list and (x, y, weight) triples.
+def build_graph(vertices: Sequence, edges: Iterable[tuple] = (), *,
+                arrays: tuple | None = None) -> WeightedGraph:
+    """Build a graph from a vertex list and (x, y, weight) triples, or
+    from ``arrays = (i, j, w)`` as ``WeightedGraph.from_arrays`` takes them.
 
     Weights are symmetrized (an edge given once is stored both ways).
     Positive self-loops, negative weights, conflicting duplicates and
     unknown endpoints are rejected.
     """
+    if arrays is not None:
+        return WeightedGraph.from_arrays(vertices, *arrays)
     return WeightedGraph(vertices, edges)
 
 
@@ -338,12 +372,13 @@ def is_connected(g: WeightedGraph) -> bool:
 
 def _check_interior(g: WeightedGraph, interior: Iterable) -> np.ndarray:
     """Interior as a vertex mask, after the domain checks."""
-    aset = {_as_vertex(v) for v in interior}
-    if not aset:
+    names = [_as_vertex(v) for v in interior]
+    if not names:
         raise EmptyInteriorError("interior vertex set is empty")
-    for v in aset:
+    for v in names:  # the first unknown vertex in the caller's order
         if v not in g:
             raise UnknownVertexError(f"interior vertex {v!r} not in graph", vertex=v)
+    aset = set(names)
     if len(aset) == g.n:
         raise InteriorIsWholeGraphError(
             "interior equals the whole vertex set; no boundary exists"
@@ -373,17 +408,19 @@ def closure_subgraph(g: WeightedGraph, interior: Iterable, m: Measure) -> Subgra
     connected; the boundary-value machinery assumes it is.
     """
     inside = _check_interior(g, interior)
+    closure = np.concatenate((np.flatnonzero(inside), np.flatnonzero(_boundary_mask(g, inside))))
     V = g.vertices
-    A = [V[i] for i in np.flatnonzero(inside).tolist()]
-    boundary = [V[i] for i in np.flatnonzero(_boundary_mask(g, inside)).tolist()]
+    A = [V[i] for i in closure[:np.count_nonzero(inside)].tolist()]
+    boundary = [V[i] for i in closure[len(A):].tolist()]
 
     # any positive edge with one endpoint interior has its other endpoint in
     # the closure by definition of the vertex boundary; the kept edges go in
     # the ambient (i, j) order, so the closure degrees round as before
     rows, cols = g.rows, g.indices
     kept = (rows < cols) & (inside[rows] | inside[cols])
-    induced = WeightedGraph(A + boundary, [(V[i], V[j], w) for i, j, w in zip(
-        rows[kept].tolist(), cols[kept].tolist(), g.data[kept].tolist())])
+    at = np.zeros(g.n, dtype=np.intp)  # closure index of each ambient vertex
+    at[closure] = np.arange(len(closure))
+    induced = WeightedGraph.from_arrays(A + boundary, at[rows[kept]], at[cols[kept]], g.data[kept])
     if not is_connected(induced):
         raise DisconnectedClosureError(
             "closure graph is disconnected (boundary-boundary edges removed)",
