@@ -296,8 +296,8 @@ def main(argv=None) -> int:
         if config.config:
             config = _build_parser(_read_config(config.config)).parse_args(argv)
         with warnings.catch_warnings():
-            # stderr holds one JSON error; the residual gate, not scipy's
-            # rcond warning (a RuntimeWarning), reports a near-singular solve
+            # stderr holds one JSON error; the residual gate, not numpy's
+            # overflow and invalid-value warnings, reports a failed solve
             warnings.simplefilter("ignore", RuntimeWarning)
             return _COMMANDS[config.command](config)
     except GneumannError as e:
@@ -307,7 +307,7 @@ def main(argv=None) -> int:
         payload = {"code": e.code, "message": str(e), "context": context}
         print(json.dumps(payload, sort_keys=True, default=str, allow_nan=False), file=sys.stderr)
         return 1
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:  # unreadable or non-UTF-8 input file
         payload = {"code": "InputError", "message": str(e), "context": {}}
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
         return 1

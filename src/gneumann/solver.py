@@ -11,10 +11,10 @@ the boundary is any designated vertex set carrying its own finite measure
 mu.  The variant is the core: the direct vertex-boundary route is the
 boundary-measure solve on the closure graph with mu = m restricted to
 the vertex boundary, and one problem check and one residual routine
-serve every route and ``verify_solution``.  The linear algebra is dense,
-on the Laplacian filled from the graph's CSR arrays.  All routes return
-the same centered solution up to numerical tolerance, which the test
-suites exploit as a cross-check.
+serve every route and ``verify_solution``.  The linear algebra is dense
+and numpy's alone, on the Laplacian filled from the graph's CSR arrays.
+All routes return the same centered solution up to numerical tolerance,
+which the test suites exploit as a cross-check.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .graphs import Measure, SubgraphClosure, WeightedGraph, is_connected
 from .spectral import (
     Spectrum,
     check_spectrum_matches,
-    green_kernel,
     heat_time_integral,
     mixing_constants,
 )
@@ -209,7 +208,7 @@ def _finish(problem: tuple, uvec, method, horizon=None, slack=0.0) -> NeumannSol
     of its own residual: (row length + 2) eps times the row products
     |L| |u|.  ``slack`` is the residual a route admits by construction
     (the heat route's truncated tail).  A row beyond both raises
-    ``IllConditionedError``.
+    ``IllConditionedError``, as does a non-finite u, residual or tolerance.
     """
     g, mv, bidx, flux, muv = problem
     res_int, res_bd, centering, rel, w = _residuals(*problem, uvec)
@@ -218,10 +217,11 @@ def _finish(problem: tuple, uvec, method, horizon=None, slack=0.0) -> NeumannSol
     floor = (np.diff(g.indptr) + 2) * np.finfo(float).eps * row_abs / w
     scale = max(1.0, float(np.max(np.abs(flux) * np.maximum(1.0, muv / mv[bidx]))))
     tol = np.maximum(RESIDUAL_RTOL * scale, floor) + slack
-    k = int(np.argmax(rel / tol))
-    if rel[k] > tol[k]:
+    finite = np.isfinite(uvec) & np.isfinite(rel) & np.isfinite(tol)
+    k = int(np.argmax(rel / tol)) if finite.all() else int(np.argmin(finite))
+    if not (finite[k] and rel[k] <= tol[k] and math.isfinite(centering)):
         raise IllConditionedError(
-            f"{method} solve residual exceeds its tolerance; the system is ill-conditioned",
+            f"{method} solve residual is not finite or exceeds its tolerance: ill-conditioned",
             vertex=g.vertices[k],
             residual=float(rel[k]),
             tolerance=float(tol[k]),
@@ -245,14 +245,13 @@ def solve_direct(sub: SubgraphClosure, phi) -> NeumannSolution:
 def solve_green(sub: SubgraphClosure, phi, spec: Spectrum) -> NeumannSolution:
     """Green-kernel route: u(x) = sum over boundary y of
     phi(y) g(x,y) m(y); centered automatically since the kernel rows
-    integrate to zero."""
+    integrate to zero.  The kernel's spectral sum is taken mode by mode
+    against the boundary load, O(n |B|) work with no n x n kernel formed."""
     problem = _problem(sub.graph, sub.boundary, sub.measure, sub.boundary_measure(), phi)
     check_spectrum_matches(spec, sub.graph, sub.measure)
     _, _, bidx, flux, muv = problem
-    G = green_kernel(spec).entries
-    uvec = np.zeros(sub.graph.n)
-    for f, w, i in zip(flux.tolist(), muv.tolist(), bidx.tolist()):
-        uvec += f * w * G[:, i]
+    psi = spec.basis[:, 1:]
+    uvec = psi @ ((psi[bidx].T @ (flux * muv)) / spec.eigenvalues[1:])
     return _finish(problem, uvec, "green")
 
 
@@ -299,11 +298,9 @@ def solve_boundary_measure(g: WeightedGraph, boundary, m: Measure, mu: Measure, 
     Compatibility is centering against mu.  The vertex-boundary problem
     of a closure is the case of the closure graph with mu the ambient
     measure restricted to the vertex boundary, which is how
-    ``solve_direct`` calls it.  The dense LU is scipy's, whose
-    ``LinAlgWarning`` on a near-singular system reaches the caller.
+    ``solve_direct`` calls it.  The dense LU is numpy's (LAPACK
+    ``dgesv``); the residual gate judges a near-singular system.
     """
-    import scipy.linalg  # the only scipy use: loaded by the routes that factor
-
     problem = _problem(g, boundary, m, mu, phi)
     if not is_connected(g):
         raise DisconnectedError("graph is not connected")
@@ -317,7 +314,7 @@ def solve_boundary_measure(g: WeightedGraph, boundary, m: Measure, mu: Measure, 
     K[:n, n] = K[n, :n] = mv
     b = np.zeros(n + 1)
     b[bidx] = flux * muv
-    uvec = scipy.linalg.solve(K, b, assume_a="sym")[:n]
+    uvec = np.linalg.solve(K, b)[:n]
     return _finish(problem, uvec, "direct")
 
 

@@ -121,12 +121,11 @@ def eigendecompose(g: WeightedGraph, m: Measure) -> Spectrum:
     norms = np.sqrt(np.einsum("ik,i,ik->k", psi, mv, psi))
     psi /= norms[None, :]
 
-    # deterministic sign: first coordinate above noise level positive
-    for k in range(psi.shape[1]):
-        col = psi[:, k]
-        nz = np.nonzero(np.abs(col) > 1e-12 * np.max(np.abs(col)))[0]
-        if nz.size and col[nz[0]] < 0:
-            psi[:, k] = -col
+    # deterministic sign: first coordinate above noise level positive;
+    # max |col| from the column extremes, so no n x n |psi| is allocated
+    noise = 1e-12 * np.maximum(psi.max(axis=0), -psi.min(axis=0))
+    first = np.argmax((psi > noise) | (psi < -noise), axis=0)
+    psi *= np.where(psi[first, np.arange(psi.shape[1])] < 0, -1.0, 1.0)
 
     floor = g.n * np.finfo(float).eps * float(w[-1])
     n_zero = 1 + int(np.count_nonzero(w[1:] < floor))
@@ -180,14 +179,17 @@ def mixing_constants(spec: Spectrum, t0: float) -> tuple[float, float]:
     all t >= t0.
 
     c2 is the spectral gap; c1 comes from the eigenfunction-expansion
-    bound evaluated at t0, which is sharp for two-point graphs.
+    bound at t0, sharp for two-point graphs: the largest entry of the Gram
+    matrix of the rows of |psi| exp(-lambda t0 / 2) over the nonzero modes,
+    which by Cauchy-Schwarz is its largest diagonal entry
+    max_x sum_k psi_k(x)^2 exp(-lambda_k t0).
     """
     t0 = _check_time(t0)
     c2 = spec.spectral_gap
     lam = spec.eigenvalues[1:]
-    psi_abs = np.abs(spec.basis[:, 1:])
-    A = (psi_abs * np.exp(-lam * t0)[None, :]) @ psi_abs.T
-    c1 = float(np.exp(c2 * t0) * A.max())
+    psi = spec.basis[:, 1:]
+    diag = np.einsum("xk,k,xk->x", psi, np.exp(-lam * t0), psi)
+    c1 = float(np.exp(c2 * t0) * diag.max())
     return c1, c2
 
 

@@ -109,3 +109,18 @@ def test_kernel_bad_later_time_writes_no_output(p3_files, capsys):
     assert rc == 1
     assert _error(capsys)["code"] == "NonpositiveTime"
     assert not list(out.glob("heat_t*.csv"))
+
+
+@pytest.mark.parametrize("name", ["graph.tsv", "phi.tsv", "config.json"])
+def test_non_utf8_input_is_one_input_error(p3_files, capsys, name):
+    (p3_files / "config.json").write_text("{}")
+    with open(p3_files / name, "ab") as fh:
+        fh.write(b"2\t\xff\n")
+    out = p3_files / "out"
+    rc = main(["solve", "--config", str(p3_files / "config.json"), *_closure_flags(p3_files),
+               "--out", str(out)])
+    assert rc == 1
+    err = _error(capsys)  # the whole of stderr is one JSON object
+    assert err["code"] == "InputError"
+    assert "can't decode byte 0xff" in err["message"]
+    assert not out.exists()

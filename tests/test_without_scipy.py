@@ -1,5 +1,4 @@
-"""The spectral and Monte Carlo commands run without scipy; only the
-direct route's LU loads it."""
+"""Every command runs without scipy: the program imports numpy alone."""
 
 import os
 import subprocess
@@ -38,6 +37,8 @@ def p3_args(tmp_path):
     (tmp_path / "measure.tsv").write_text("1\t1.0\n2\t1.0\n3\t1.0\n")
     (tmp_path / "interior.tsv").write_text("2\n")
     (tmp_path / "phi.tsv").write_text("1\t1.0\n3\t-1.0\n")
+    (tmp_path / "boundary.tsv").write_text("1\n3\n")
+    (tmp_path / "mu.tsv").write_text("1\t1.0\n3\t1.0\n")
     return ["--graph", str(tmp_path / "graph.tsv"), "--measure", str(tmp_path / "measure.tsv"),
             "--out", str(tmp_path / "out")]
 
@@ -52,20 +53,30 @@ def _closure(tmp_path):
     return ["--interior", str(tmp_path / "interior.tsv"), "--phi", str(tmp_path / "phi.tsv")]
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--start", "2", "--T", "1", "--N", "100"],
-    ["kernel", "--times", "0.5,2"],
-    ["solve", "--method", "green"],
-    ["solve", "--method", "heat-integral"],
-], ids=["simulate", "kernel", "solve-green", "solve-heat-integral"])
-def test_command_runs_with_scipy_refused(tmp_path, p3_args, argv):
-    extra = [] if argv[0] == "kernel" else _closure(tmp_path)
+def _boundary_measure(tmp_path):
+    return ["--boundary", str(tmp_path / "boundary.tsv"), "--mu", str(tmp_path / "mu.tsv"),
+            "--phi", str(tmp_path / "phi.tsv")]
+
+
+@pytest.mark.parametrize("argv, problem", [
+    (["simulate", "--start", "2", "--T", "1", "--N", "100"], _closure),
+    (["kernel", "--times", "0.5,2"], None),
+    (["solve", "--method", "direct"], _closure),
+    (["solve", "--method", "direct"], _boundary_measure),
+    (["solve", "--method", "green"], _closure),
+    (["solve", "--method", "heat-integral"], _closure),
+    (["verify"], _closure),
+], ids=["simulate", "kernel", "solve-direct", "solve-direct-boundary-measure", "solve-green",
+        "solve-heat-integral", "verify"])
+def test_command_runs_with_scipy_refused(tmp_path, p3_args, argv, problem):
+    extra = problem(tmp_path) if problem else []
     proc = _run("refuse", argv + p3_args + extra)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
 
-def test_direct_solve_loads_scipy(tmp_path, p3_args):
+def test_direct_solve_leaves_scipy_unloaded(tmp_path, p3_args):
+    # scipy importable, yet the direct route's LU never loads it
     proc = _run("allow", ["solve", "--method", "direct"] + p3_args + _closure(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "True"
+    assert proc.stdout.strip() == "False"
