@@ -239,9 +239,10 @@ def _cmd_simulate(config: argparse.Namespace) -> int:
         with open(out / "paths.csv", "w", encoding="utf-8") as fh:
             fh.write("path_id,step,state,holding_time\n")
             paths = sample_paths(g, m, config.start, config.T, config.seed, range(config.N))
+            cells = {x: fileio._csv_cell(x) for x in g.vertices}  # each id quoted once
             for i, path in enumerate(paths):
                 for step, (state, hold) in enumerate(zip(path.states, path.holding_times)):
-                    fh.write(f"{i},{step},{state},{fileio.fmt(hold)}\n")
+                    fh.write(f"{i},{step},{cells[state]},{fileio.fmt(hold)}\n")
     return 0
 
 

@@ -219,7 +219,7 @@ def read_vertex_set(path) -> tuple[str, ...]:
 def _csv_cell(text: str) -> str:
     """``text`` as ``csv.writer`` writes it among other cells: quoted,
     with its quotes doubled, when it holds a comma, a quote or a line
-    break."""
+    break.  Every CSV writer quotes its cells through this one rule."""
     if any(c in text for c in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
@@ -233,7 +233,7 @@ def write_kernel_csv(kernel: KernelMatrix, path) -> None:
     it writes, at a fraction of the cost per cell.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow([""] + list(kernel.vertices))
+        fh.write(",".join(["", *map(_csv_cell, kernel.vertices)]) + "\r\n")
         row = "%s," + ",".join(["%.17g"] * len(kernel.vertices)) + "\r\n"
         for x, values in zip(kernel.vertices, kernel.entries):
             fh.write(row % (_csv_cell(x), *values.tolist()))
@@ -243,7 +243,7 @@ def write_spectrum_csv(spec: Spectrum, path) -> None:
     """One row per eigenvalue: k, lambda and the eigenfunction, formatted
     in one step as in ``write_kernel_csv``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(["k", "lambda"] + [f"psi({v})" for v in spec.vertices])
+        fh.write(",".join(["k", "lambda"] + [_csv_cell(f"psi({v})") for v in spec.vertices]) + "\r\n")
         row = "%d," + ",".join(["%.17g"] * (len(spec.vertices) + 1)) + "\r\n"
         for k, (lam, psi) in enumerate(zip(spec.eigenvalues.tolist(), spec.basis.T)):
             fh.write(row % (k, lam, *psi.tolist()))
@@ -252,10 +252,9 @@ def write_spectrum_csv(spec: Spectrum, path) -> None:
 def write_solution_csv(u: VertexFunction, boundary: Iterable, order: Iterable[str], path) -> None:
     bset = {str(v) for v in boundary}
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vertex", "u", "region"])
+        fh.write("vertex,u,region\r\n")
         for x in order:
-            writer.writerow([x, fmt(u[x]), "boundary" if x in bset else "interior"])
+            fh.write(f"{_csv_cell(x)},{fmt(u[x])},{'boundary' if x in bset else 'interior'}\r\n")
 
 
 def read_solution_csv(path) -> tuple[VertexFunction, tuple[str, ...]]:

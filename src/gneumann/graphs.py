@@ -289,7 +289,7 @@ class SubgraphClosure:
     interior and zeroes all boundary-boundary weights.  Construction
     enforces connectivity of the closure graph.  ``measure_vector`` and
     ``boundary_index`` are the measure and the boundary in the closure
-    graph's vertex order, computed once.
+    graph's vertex order, computed once, as is the boundary measure.
     """
 
     def __init__(self, interior: Sequence[str], boundary: Sequence[str],
@@ -299,6 +299,7 @@ class SubgraphClosure:
         self._graph = graph
         self._measure = measure
         self._boundary_set = frozenset(self._boundary)
+        self._boundary_measure = measure.restrict(self._boundary)
         self.measure_vector = measure.to_vector(graph.vertices)
         self.boundary_index = np.array([graph.index(y) for y in self._boundary], dtype=np.intp)
         for a in (self.measure_vector, self.boundary_index):
@@ -330,7 +331,7 @@ class SubgraphClosure:
 
     def boundary_measure(self) -> Measure:
         """The ambient measure restricted to the boundary."""
-        return self._measure.restrict(self._boundary)
+        return self._boundary_measure
 
     def __repr__(self):
         return (f"SubgraphClosure(interior={len(self._interior)}, "

@@ -11,8 +11,8 @@ the boundary is any designated vertex set carrying its own finite measure
 mu.  The variant is the core: the direct vertex-boundary route is the
 boundary-measure solve on the closure graph with mu = m restricted to
 the vertex boundary, and one problem check and one residual routine
-serve every route and ``verify_solution``.  The linear algebra is dense
-and numpy's alone, on the Laplacian filled from the graph's CSR arrays.
+serve every route and ``verify_solution``.  The residuals apply L through
+the CSR arrays, O(nnz); only the direct LU is dense (numpy's, filled from them).
 All routes return the same centered solution up to numerical tolerance,
 which the test suites exploit as a cross-check.
 """
@@ -31,7 +31,7 @@ from .errors import (
     IncompatibleDataError,
     NonpositiveToleranceError,
 )
-from .forms import VertexFunction, _as_function
+from .forms import VertexFunction, _as_function, _laplacian
 from .graphs import Measure, SubgraphClosure, WeightedGraph, is_connected
 from .spectral import (
     Spectrum,
@@ -147,7 +147,7 @@ def _residuals(g: WeightedGraph, mv: np.ndarray, bidx: np.ndarray, flux: np.ndar
     weak-identity mismatch |(Lu)(y) - phi(y) mu(y)| / mu(y) on it, the
     centering total, and these residuals row by row with the weight (m or
     mu) each row is divided by."""
-    r = g.laplacian_matrix @ uvec
+    r = _laplacian(g, uvec)
     r[bidx] -= flux * muv
     w = mv.copy()
     w[bidx] = muv
@@ -206,8 +206,11 @@ def _finish(problem: tuple, uvec, method, horizon=None, slack=0.0) -> NeumannSol
     Each row is judged against the data, whose load phi * mu makes Lu / m
     of size |phi| mu / m on the boundary, and against the rounding floor
     of its own residual: (row length + 2) eps times the row products
-    |L| |u|.  ``slack`` is the residual a route admits by construction
-    (the heat route's truncated tail).  A row beyond both raises
+    |L| |u|, which bounds the rounding of the CSR row sum
+    sum_y w(x,y) (u(x) - u(y)): each term passes through at most row length
+    + 1 roundings of eps / 2, and |u(x) - u(y)| <= |u(x)| + |u(y)|.
+    ``slack`` is the residual a route admits by construction (the heat
+    route's truncated tail).  A row beyond both raises
     ``IllConditionedError``, as does a non-finite u, residual or tolerance.
     """
     g, mv, bidx, flux, muv = problem

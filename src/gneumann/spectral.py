@@ -44,13 +44,15 @@ class Spectrum:
 
     ``basis`` holds the eigenfunctions as columns in vertex order;
     eigenvalues are ascending, the first one (the constant mode) snapped
-    to 0.0.
+    to 0.0.  ``measure_vector`` is the measure in vertex order.  The
+    arrays are read-only.
     """
 
     graph: WeightedGraph
     measure: Measure
     eigenvalues: np.ndarray
     basis: np.ndarray
+    measure_vector: np.ndarray
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -63,14 +65,6 @@ class Spectrum:
             raise DisconnectedError("no nonzero eigenvalue: graph is a single point")
         return float(self.eigenvalues[1])
 
-    def coefficients(self, f) -> np.ndarray:
-        """Expansion coefficients of f in the eigenbasis (m-weighted)."""
-        if isinstance(f, VertexFunction):
-            f = f.to_vector(self.vertices)
-        f = np.asarray(f, dtype=float)
-        mv = self.measure.to_vector(self.vertices)
-        return self.basis.T @ (mv * f)
-
 
 @dataclass(frozen=True, eq=False)
 class KernelMatrix:
@@ -79,8 +73,6 @@ class KernelMatrix:
 
     graph: WeightedGraph
     entries: np.ndarray
-    kind: str  # "heat" or "green"
-    time: float | None = None
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -136,9 +128,9 @@ def eigendecompose(g: WeightedGraph, m: Measure) -> Spectrum:
             n_zero_modes=n_zero,
         )
     w[0] = 0.0
-    w.flags.writeable = False
-    psi.flags.writeable = False
-    return Spectrum(graph=g, measure=m, eigenvalues=w, basis=psi)
+    for a in (w, psi, mv):
+        a.flags.writeable = False
+    return Spectrum(graph=g, measure=m, eigenvalues=w, basis=psi, measure_vector=mv)
 
 
 def _check_time(t: float) -> float:
@@ -155,7 +147,7 @@ def heat_kernel(spec: Spectrum, t: float) -> KernelMatrix:
     P = (spec.basis * decay[None, :]) @ spec.basis.T
     P = 0.5 * (P + P.T)
     P.flags.writeable = False
-    return KernelMatrix(graph=spec.graph, entries=P, kind="heat", time=t)
+    return KernelMatrix(graph=spec.graph, entries=P)
 
 
 def green_kernel(spec: Spectrum) -> KernelMatrix:
@@ -171,7 +163,7 @@ def green_kernel(spec: Spectrum) -> KernelMatrix:
     G = (psi / lam[None, :]) @ psi.T
     G = 0.5 * (G + G.T)
     G.flags.writeable = False
-    return KernelMatrix(graph=spec.graph, entries=G, kind="green")
+    return KernelMatrix(graph=spec.graph, entries=G)
 
 
 def mixing_constants(spec: Spectrum, t0: float) -> tuple[float, float]:
@@ -211,7 +203,9 @@ def heat_time_integral(spec: Spectrum, f, T: float) -> VertexFunction:
     and T itself for the zero mode).
     """
     T = _check_time(T)
-    coef = spec.coefficients(f)
+    if isinstance(f, VertexFunction):
+        f = f.to_vector(spec.vertices)
+    coef = spec.basis.T @ (spec.measure_vector * np.asarray(f, dtype=float))
     lam = spec.eigenvalues
     weights = np.empty_like(lam)
     weights[0] = T

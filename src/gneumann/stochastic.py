@@ -76,13 +76,17 @@ class SamplePath:
 
     def state_at(self, t: float) -> str:
         """State occupied at time t (right-continuous)."""
-        if t < 0 or t > self.horizon:
-            raise HorizonExceededError(
-                f"time {t} outside [0, {self.horizon}]", time=t, horizon=self.horizon
-            )
+        _check_within(self, t)
         j = int(np.searchsorted(self.jump_times, t, side="right"))
         j = min(j, len(self.states) - 1)
         return self.states[j]
+
+
+def _check_within(path: SamplePath, t: float) -> None:
+    if t < 0 or t > path.horizon:
+        raise HorizonExceededError(
+            f"time {t} outside [0, {path.horizon}]", time=t, horizon=path.horizon
+        )
 
 
 @dataclass(frozen=True)
@@ -316,10 +320,7 @@ def sample_path(sub: SubgraphClosure, x0, T: float, stream) -> SamplePath:
 def local_time(path: SamplePath, boundary: Iterable, t: float) -> float:
     """Time spent in the boundary set up to t, as the exact sum of
     holding-segment overlaps with [0, t]."""
-    if t < 0 or t > path.horizon:
-        raise HorizonExceededError(
-            f"time {t} outside [0, {path.horizon}]", time=t, horizon=path.horizon
-        )
+    _check_within(path, t)
     bset = {str(v) for v in boundary}
     total = 0.0
     start = 0.0
@@ -337,10 +338,7 @@ def local_time(path: SamplePath, boundary: Iterable, t: float) -> float:
 
 def shift_path(path: SamplePath, t: float) -> SamplePath:
     """The path restarted at time t: same trajectory over [t, horizon]."""
-    if t < 0 or t > path.horizon:
-        raise HorizonExceededError(
-            f"time {t} outside [0, {path.horizon}]", time=t, horizon=path.horizon
-        )
+    _check_within(path, t)
     ends = path.jump_times
     j = int(np.searchsorted(ends, t, side="right"))
     j = min(j, len(path.states) - 1)

@@ -81,7 +81,6 @@ def check_chapman_kolmogorov(spec: Spectrum, n_pairs: int = 10, seed: int = 0,
     """Semigroup composition: integrating p_t against p_s reproduces
     p_{t+s}."""
     rng = np.random.default_rng(seed)
-    mv = spec.measure.to_vector(spec.vertices)
     gap = spec.spectral_gap
     worst = 0.0
     for _ in range(n_pairs):
@@ -90,7 +89,7 @@ def check_chapman_kolmogorov(spec: Spectrum, n_pairs: int = 10, seed: int = 0,
         Pt = heat_kernel(spec, t).entries
         Ps = heat_kernel(spec, s).entries
         Pts = heat_kernel(spec, t + s).entries
-        composed = Pt @ (mv[:, None] * Ps)
+        composed = Pt @ (spec.measure_vector[:, None] * Ps)
         worst = max(worst, float(np.max(np.abs(composed - Pts))))
     return _result(worst <= tol, worst, tol, pairs=n_pairs)
 
@@ -102,19 +101,17 @@ def _time_grid(spec: Spectrum) -> list[float]:
 
 def check_stochastic_completeness(spec: Spectrum, tol: float = 1e-10) -> dict:
     """Heat kernel rows integrate to one against the measure."""
-    mv = spec.measure.to_vector(spec.vertices)
     worst = 0.0
     for t in _time_grid(spec):
         P = heat_kernel(spec, t).entries
-        worst = max(worst, float(np.max(np.abs(P @ mv - 1.0))))
+        worst = max(worst, float(np.max(np.abs(P @ spec.measure_vector - 1.0))))
     return _result(worst <= tol, worst, tol)
 
 
 def check_kernel_bounds(spec: Spectrum, tol: float = 1e-10) -> dict:
     """Pointwise bound p_t(x,y) <= min(1/m(x), 1/m(y)) and nonnegativity
     up to roundoff."""
-    mv = spec.measure.to_vector(spec.vertices)
-    inv = 1.0 / mv
+    inv = 1.0 / spec.measure_vector
     cap = np.minimum(inv[:, None], inv[None, :])
     worst = 0.0
     for t in _time_grid(spec):
@@ -131,8 +128,7 @@ def check_heat_equation(spec: Spectrum, ratio_range=(3.0, 5.0)) -> dict:
     lam_max = float(spec.eigenvalues[-1])
     t = 1.0 / lam_max
     h = t / 50.0
-    mv = spec.measure.to_vector(spec.vertices)
-    L = spec.graph.laplacian_matrix / mv[:, None]
+    L = spec.graph.laplacian_matrix / spec.measure_vector[:, None]
     target = -L @ heat_kernel(spec, t).entries
 
     def fd_error(step: float) -> float:
@@ -188,7 +184,7 @@ def check_markov_property(g: WeightedGraph, n_funcs: int = 20, seed: int = 0,
 def check_green_identity(spec: Spectrum, tol: float = 1e-9) -> dict:
     """Laplacian applied to a Green column gives the centered point mass."""
     G = green_kernel(spec).entries
-    mv = spec.measure.to_vector(spec.vertices)
+    mv = spec.measure_vector
     lap = (spec.graph.laplacian_matrix @ G) / mv[:, None]
     expected = np.diag(1.0 / mv) - 1.0 / spec.measure.total
     worst = float(np.max(np.abs(lap - expected)))
@@ -202,7 +198,7 @@ def check_cross_methods(sub: SubgraphClosure, spec: Spectrum, phi=None,
     if phi is None:
         rng = np.random.default_rng(seed)
         raw = rng.standard_normal(len(sub.boundary))
-        mb = np.array([sub.measure[y] for y in sub.boundary])
+        mb = sub.measure_vector[sub.boundary_index]
         raw -= (raw @ mb) / mb.sum()
         phi = BoundaryData.for_closure(sub, dict(zip(sub.boundary, raw)))
     u_direct = solve_direct(sub, phi).u.to_vector(sub.closure)

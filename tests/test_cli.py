@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -208,6 +209,31 @@ def test_simulate_dump_paths(p3_files):
     assert {row.split(",")[0] for row in lines[1:]} == {"0", "1", "2"}
     first = lines[1].split(",")
     assert first[2] == "2"  # every path starts at the start vertex
+
+
+def test_dump_paths_quotes_state_ids(tmp_path):
+    # ids are split at tabs only, so a comma or a quote is part of the id
+    (tmp_path / "graph.tsv").write_text('a,b\tq"x\t1.0\nq"x\tc\t1.0\n')
+    (tmp_path / "measure.tsv").write_text('a,b\t1.0\nq"x\t1.0\nc\t1.0\n')
+    (tmp_path / "interior.tsv").write_text('q"x\n')
+    (tmp_path / "phi.tsv").write_text("a,b\t1.0\nc\t-1.0\n")
+    out = tmp_path / "dump"
+    rc = main(["simulate"] + _flags({
+        "graph": tmp_path / "graph.tsv",
+        "measure": tmp_path / "measure.tsv",
+        "interior": tmp_path / "interior.tsv",
+        "phi": tmp_path / "phi.tsv",
+        "start": "a,b", "T": 2.0, "N": 20, "seed": 5,
+        "out": out,
+        "dump-paths": None,
+    }))
+    assert rc == 0
+    with open(out / "paths.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["path_id", "step", "state", "holding_time"]
+    assert all(len(row) == 4 for row in rows)
+    assert {row[2] for row in rows[1:]} == {"a,b", 'q"x', "c"}
+    assert all(row[2] == "a,b" for row in rows[1:] if row[1] == "0")
 
 
 def test_simulate_boundary_measure_mode(p3_files):

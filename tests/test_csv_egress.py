@@ -1,5 +1,6 @@
-"""The kernel and spectrum writers format a row in one step and write the
-bytes ``csv.writer`` writes for ``fmt`` cells."""
+"""The kernel, spectrum and solution writers quote through one rule and
+write the bytes ``csv.writer`` writes for ``fmt`` cells, headers
+included."""
 
 import csv
 
@@ -28,6 +29,14 @@ def _reference_spectrum_csv(spec, path):
                             + [fileio.fmt(v) for v in spec.basis[:, k]])
 
 
+def _reference_solution_csv(u, boundary, order, path):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["vertex", "u", "region"])
+        for x in order:
+            writer.writerow([x, fileio.fmt(u[x]), "boundary" if x in boundary else "interior"])
+
+
 @pytest.fixture
 def spec():
     edges = [(IDS[i], IDS[i + 1], 0.5 + i / 3) for i in range(len(IDS) - 1)]
@@ -48,3 +57,12 @@ def test_spectrum_csv_bytes_match_csv_writer(tmp_path, spec):
     fileio.write_spectrum_csv(spec, tmp_path / "new.csv")
     _reference_spectrum_csv(spec, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_solution_csv_bytes_match_csv_writer(tmp_path):
+    u = gn.VertexFunction({v: (-1.5) ** i / 3 for i, v in enumerate(IDS)})
+    boundary = {IDS[0], IDS[3]}
+    fileio.write_solution_csv(u, boundary, IDS, tmp_path / "new.csv")
+    _reference_solution_csv(u, boundary, IDS, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert fileio.read_solution_csv(tmp_path / "new.csv") == (u, (IDS[0], IDS[3]))

@@ -21,7 +21,6 @@ ROUTES = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # scipy's LinAlgWarning
 @pytest.mark.parametrize("k", range(9))
 def test_routes_agree_or_all_refuse(k):
     g = gn.build_graph(["1", "2", "3"], [("1", "2", 10.0 ** -k), ("2", "3", 10.0 ** k)])

@@ -30,6 +30,13 @@ def p3_spec(p3):
     return gn.eigendecompose(p3, gn.Measure.uniform(p3.vertices))
 
 
+def test_spectrum_carries_its_measure_vector(p3):
+    m = gn.Measure({"1": 1.0, "2": 2.5, "3": 0.5})
+    spec = gn.eigendecompose(p3, m)
+    assert np.array_equal(spec.measure_vector, m.to_vector(spec.vertices))
+    assert not spec.measure_vector.flags.writeable
+
+
 def test_eigendecompose_two_vertex(two_vertex_spec):
     spec = two_vertex_spec
     np.testing.assert_allclose(spec.eigenvalues, [0.0, 2.0], atol=1e-12)
