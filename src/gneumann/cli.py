@@ -29,10 +29,18 @@ from .solver import (
     solve_heat_integral,
 )
 from .spectral import _check_time, eigendecompose, green_kernel, heat_kernel, heat_time_integral
-from .stochastic import _occupation_weights, mc_estimate_measure, sample_paths
+from .stochastic import (
+    _expected_holds,
+    _map_spans,
+    _occupation_weights,
+    _path_sampler,
+    mc_estimate_measure,
+)
 from .verification import run_all_suites
 
 __all__ = ["main"]
+
+_DUMP_SPAN = 512  # paths per span of --dump-paths: bounds the rows held at once
 
 # every flag once, by destination: (type, choices, default, help).  The
 # table builds the subcommand parsers and checks each --config value.
@@ -236,13 +244,22 @@ def _cmd_simulate(config: argparse.Namespace) -> int:
     fileio.write_json(report, out / "estimate.json")
 
     if config.dump_paths:
+        sample = _path_sampler(g, m, config.start, config.T, config.seed)
+        cells = {x: fileio._csv_cell(x) for x in g.vertices}  # each id quoted once
+
+        def rows(lo: int, hi: int) -> str:
+            lines = []
+            for i in range(lo, hi):
+                path = sample(i)
+                for step, (state, hold) in enumerate(zip(path.states, path.holding_times)):
+                    lines.append(f"{i},{step},{cells[state]},{fileio.fmt(hold)}\n")
+            return "".join(lines)
+
+        holds = _expected_holds(g, m, config.T, config.N)
         with open(out / "paths.csv", "w", encoding="utf-8") as fh:
             fh.write("path_id,step,state,holding_time\n")
-            paths = sample_paths(g, m, config.start, config.T, config.seed, range(config.N))
-            cells = {x: fileio._csv_cell(x) for x in g.vertices}  # each id quoted once
-            for i, path in enumerate(paths):
-                for step, (state, hold) in enumerate(zip(path.states, path.holding_times)):
-                    fh.write(f"{i},{step},{cells[state]},{fileio.fmt(hold)}\n")
+            for text in _map_spans(rows, config.N, _DUMP_SPAN, holds):
+                fh.write(text)
     return 0
 
 

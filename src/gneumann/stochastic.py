@@ -18,12 +18,20 @@ computes these draws in numpy (``_uniforms``); single paths use the
 scalar walker.  Both take log1p from libm (``math.log1p``), because
 numpy's own SIMD log1p ufunc can differ from it in the last bit depending
 on the CPU, which would make seeded estimates machine-dependent.
+
+Parallelism: a job of at least ``_POOL_HOLDS`` expected holds (the
+estimator, and the CLI's ``--dump-paths``) cuts its paths into spans and
+walks them on a fork pool with one worker per CPU of the process's
+affinity mask, which ``taskset`` restricts.  Results come back in span
+order and each path depends only on (seed, i), so every output is
+byte-identical to the serial run on any number of CPUs.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -53,6 +61,9 @@ __all__ = [
 _BLOCK = 1024  # uniforms per refill of the single-path walker
 _BATCH = 4096  # paths per _walk_paths call, and draw blocks per refill across them
 _MAX_BLOCKS = 64  # draw blocks per path and refill, when few paths are live
+# expected holds from which a job runs on a pool: starting, using and
+# closing one costs 20-35 ms, the time of about 6e4 holds of _walk_paths
+_POOL_HOLDS = 2**15
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,11 +287,78 @@ def _check_horizon(T: float) -> float:
     return T
 
 
-def sample_paths(g: WeightedGraph, m: Measure, x0, T: float, seed: int,
-                 paths: Iterable[int]) -> Iterator[SamplePath]:
-    """Simulate the chain on an arbitrary graph from x0 up to time T, one
-    path per index in ``paths``, path i on stream (seed, i); the paths
-    share one jump table.  Arguments are checked before this returns."""
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask, which ``taskset``
+    sets, where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+_span_task = None  # in a pool worker: the task it inherited at fork
+
+
+def _adopt(task) -> None:
+    global _span_task
+    _span_task = task
+
+
+def _run_span(span: tuple[int, int]):
+    return _span_task(*span)
+
+
+def _fork_pool(task, workers: int):
+    """A pool of ``workers`` fork workers that inherit ``task``, or None
+    where none can run: one worker, a daemonic process (a pool worker may
+    not have children), no fork start method, or other Python threads,
+    whose held locks a forked child would inherit."""
+    if workers < 2:
+        return None
+    import multiprocessing
+    import threading
+
+    if (multiprocessing.current_process().daemon
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1):
+        return None
+    return multiprocessing.get_context("fork").Pool(workers, _adopt, (task,))
+
+
+def _map_spans(task, n: int, span: int, holds: float) -> Iterator:
+    """``task(lo, hi)`` for consecutive spans of range(n), in span order.
+
+    A job of ``holds >= _POOL_HOLDS`` expected holds runs on a fork pool
+    of one worker per CPU, with spans of at most ``span`` items and at
+    most ceil(n / CPUs), so every CPU gets one.  Workers inherit ``task``
+    at fork and receive only (lo, hi).  Smaller jobs, and processes where
+    a pool cannot run, walk spans of ``span`` items here.  Callers check
+    their arguments first, so every error is raised before a pool starts.
+    """
+    workers = _cpu_count() if holds >= _POOL_HOLDS else 1
+    if workers > 1:
+        span = min(span, -(-n // workers))
+    spans = [(lo, min(n, lo + span)) for lo in range(0, n, span)]
+    pool = _fork_pool(task, min(workers, len(spans)))
+    if pool is None:
+        for lo, hi in spans:
+            yield task(lo, hi)
+        return
+    try:
+        yield from pool.imap(_run_span, spans)
+    finally:
+        pool.terminate()
+
+
+def _expected_holds(g: WeightedGraph, m: Measure, T: float, N: int) -> float:
+    """N (1 + T sum(deg) / sum(m)): the holds of N paths of length T at the
+    chain's stationary mean jump rate, the size of a job for ``_map_spans``."""
+    return N * (1.0 + T * float(g.deg.sum()) / m.total)
+
+
+def _path_sampler(g: WeightedGraph, m: Measure, x0, T: float, seed: int):
+    """The function that simulates path i of ``sample_paths``; arguments
+    are checked and the jump table built before it returns."""
     T = _check_horizon(T)
     x0 = str(x0)
     if x0 not in g:
@@ -289,17 +367,24 @@ def sample_paths(g: WeightedGraph, m: Measure, x0, T: float, seed: int,
     chain = _ChainParams(g, m)
     i0 = g.index(x0)
 
-    def generate():
-        for index in paths:
-            states, holds = _walk(chain, i0, T, _stream_rng(seed, index))
-            yield SamplePath(
-                states=tuple(g.vertices[i] for i in states),
-                holding_times=np.array(holds),
-                horizon=T,
-                seed=(seed, int(index)),
-            )
+    def sample(index: int) -> SamplePath:
+        states, holds = _walk(chain, i0, T, _stream_rng(seed, index))
+        return SamplePath(
+            states=tuple(g.vertices[i] for i in states),
+            holding_times=np.array(holds),
+            horizon=T,
+            seed=(seed, int(index)),
+        )
 
-    return generate()
+    return sample
+
+
+def sample_paths(g: WeightedGraph, m: Measure, x0, T: float, seed: int,
+                 paths: Iterable[int]) -> Iterator[SamplePath]:
+    """Simulate the chain on an arbitrary graph from x0 up to time T, one
+    path per index in ``paths``, path i on stream (seed, i); the paths
+    share one jump table.  Arguments are checked before this returns."""
+    return map(_path_sampler(g, m, x0, T, seed), paths)
 
 
 def sample_path_graph(g: WeightedGraph, m: Measure, x0, T: float, stream) -> SamplePath:
@@ -395,10 +480,11 @@ def mc_estimate_measure(g: WeightedGraph, boundary: Sequence, m: Measure, mu: Me
 
     chain = _ChainParams(g, m)
     i0 = g.index(x0)
-    vals = np.empty(N)
-    for lo in range(0, N, _BATCH):
-        hi = min(N, lo + _BATCH)
-        vals[lo:hi] = _walk_paths(chain, i0, T, seed, np.arange(lo, hi), weights)
+
+    def walk(lo: int, hi: int) -> np.ndarray:
+        return _walk_paths(chain, i0, T, seed, np.arange(lo, hi), weights)
+
+    vals = np.concatenate(list(_map_spans(walk, N, _BATCH, _expected_holds(g, m, T, N))))
     value = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(N))
     return MCEstimate(value=value, stderr=stderr, samples=N, horizon=T, start=x0, seed=int(seed))
