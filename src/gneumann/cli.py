@@ -14,6 +14,8 @@ import json
 import math
 import sys
 import warnings
+from itertools import chain, groupby
+from operator import itemgetter
 from pathlib import Path
 
 from . import fileio
@@ -40,7 +42,9 @@ from .verification import run_all_suites
 
 __all__ = ["main"]
 
-_DUMP_SPAN = 512  # paths per span of --dump-paths: bounds the rows held at once
+# span sizes of the CSV writers on a pool (in-process, one path or row at a time)
+_DUMP_SPAN = 512  # paths of --dump-paths
+_KERNEL_CELLS = 2**15  # kernel CSV cells, about 700 kB of text
 
 # every flag once, by destination: (type, choices, default, help).  The
 # table builds the subcommand parsers and checks each --config value.
@@ -258,7 +262,7 @@ def _cmd_simulate(config: argparse.Namespace) -> int:
         holds = _expected_holds(g, m, config.T, config.N)
         with open(out / "paths.csv", "w", encoding="utf-8") as fh:
             fh.write("path_id,step,state,holding_time\n")
-            for text in _map_spans(rows, config.N, _DUMP_SPAN, holds):
+            for text in _map_spans(rows, config.N, _DUMP_SPAN, holds, serial_span=1):
                 fh.write(text)
     return 0
 
@@ -270,7 +274,8 @@ def _cmd_kernel(config: argparse.Namespace) -> int:
             "kernel requires explicit --times t1,t2,... "
             "(time scales are graph-dependent; there is no safe default)"
         )
-    tokens = [tok.strip() for tok in str(config.times).split(",") if tok.strip()]
+    # a repeated token names the same file: write it once
+    tokens = dict.fromkeys(tok.strip() for tok in str(config.times).split(",") if tok.strip())
     try:
         times = [(tok, float(tok)) for tok in tokens]
     except ValueError as e:
@@ -278,11 +283,23 @@ def _cmd_kernel(config: argparse.Namespace) -> int:
     for _, t in times:  # every time, before any output is written
         _check_time(t)
     spec = eigendecompose(g, m)
+    names = [f"heat_t{tok}.csv" for tok, _ in times] + ["green.csv", "spectrum.csv"]
+    tables = [fileio._kernel_table(heat_kernel(spec, t)) for _, t in times]
+    tables += [fileio._kernel_table(green_kernel(spec)), fileio._spectrum_table(spec)]
+    n = g.n  # rows of every table
+
+    def rows(lo: int, hi: int) -> list[tuple[int, str]]:
+        """Rows lo .. hi-1 of the tables laid end to end, as (table, text)."""
+        return [(k, tables[k].rows(max(lo - k * n, 0), min(hi - k * n, n)))
+                for k in range(lo // n, (hi - 1) // n + 1)]
+
     out = _out_dir(config)
-    for tok, t in times:
-        fileio.write_kernel_csv(heat_kernel(spec, t), out / f"heat_t{tok}.csv")
-    fileio.write_kernel_csv(green_kernel(spec), out / "green.csv")
-    fileio.write_spectrum_csv(spec, out / "spectrum.csv")
+    # formatting a cell takes about 0.75 us and a hold of the walker about
+    # 0.4 us (2-core Xeon), so a job of c cells weighs 2c holds
+    holds = 2.0 * len(tables) * n * (n + 1)
+    spans = _map_spans(rows, len(tables) * n, max(1, _KERNEL_CELLS // n), holds, serial_span=1)
+    for k, pieces in groupby(chain.from_iterable(spans), key=itemgetter(0)):
+        tables[k].write(out / names[k], (text for _, text in pieces))
     return 0
 
 

@@ -225,28 +225,50 @@ def _csv_cell(text: str) -> str:
     return text
 
 
-def write_kernel_csv(kernel: KernelMatrix, path) -> None:
-    """Dense matrix with vertex identifiers as header row and column.
+class _Table:
+    """A CSV table of numbers: a header line, then per label a row of the
+    label and its row of ``values`` as ``fmt`` cells ("%.17g"), formatted
+    in one step from a template.  ``csv.writer`` never quotes such cells,
+    so the bytes are the ones it writes, at a fraction of the cost.  The
+    CSV writers and the ``kernel`` command's pool share this formatter."""
 
-    Each row is formatted in one step from a template of ``fmt`` cells
-    ("%.17g"), which ``csv.writer`` never quotes: the bytes are the ones
-    it writes, at a fraction of the cost per cell.
-    """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(["", *map(_csv_cell, kernel.vertices)]) + "\r\n")
-        row = "%s," + ",".join(["%.17g"] * len(kernel.vertices)) + "\r\n"
-        for x, values in zip(kernel.vertices, kernel.entries):
-            fh.write(row % (_csv_cell(x), *values.tolist()))
+    def __init__(self, header: Sequence[str], labels: Sequence[str], values: np.ndarray):
+        self.header = ",".join(header) + "\r\n"
+        self.labels, self.values = labels, values
+        self._row = "%s," + ",".join(["%.17g"] * values.shape[1]) + "\r\n"
+
+    def rows(self, lo: int, hi: int) -> str:
+        """The text of rows lo .. hi-1."""
+        return "".join([self._row % (self.labels[i], *self.values[i].tolist())
+                        for i in range(lo, hi)])
+
+    def write(self, path, texts: Iterable[str] | None = None) -> None:
+        """The header, then ``texts``, by default one row at a time."""
+        n = len(self.labels)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(self.header)
+            fh.writelines(texts or map(self.rows, range(n), range(1, n + 1)))
+
+
+def _kernel_table(kernel: KernelMatrix) -> _Table:
+    cells = [_csv_cell(x) for x in kernel.vertices]
+    return _Table(["", *cells], cells, kernel.entries)
+
+
+def _spectrum_table(spec: Spectrum) -> _Table:
+    labels = ["%d,%.17g" % kl for kl in enumerate(spec.eigenvalues.tolist())]
+    header = ["k", "lambda", *(_csv_cell(f"psi({v})") for v in spec.vertices)]
+    return _Table(header, labels, spec.basis.T)
+
+
+def write_kernel_csv(kernel: KernelMatrix, path) -> None:
+    """Dense matrix with vertex identifiers as header row and column."""
+    _kernel_table(kernel).write(path)
 
 
 def write_spectrum_csv(spec: Spectrum, path) -> None:
-    """One row per eigenvalue: k, lambda and the eigenfunction, formatted
-    in one step as in ``write_kernel_csv``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(["k", "lambda"] + [_csv_cell(f"psi({v})") for v in spec.vertices]) + "\r\n")
-        row = "%d," + ",".join(["%.17g"] * (len(spec.vertices) + 1)) + "\r\n"
-        for k, (lam, psi) in enumerate(zip(spec.eigenvalues.tolist(), spec.basis.T)):
-            fh.write(row % (k, lam, *psi.tolist()))
+    """One row per eigenvalue: k, lambda and the eigenfunction."""
+    _spectrum_table(spec).write(path)
 
 
 def write_solution_csv(u: VertexFunction, boundary: Iterable, order: Iterable[str], path) -> None:

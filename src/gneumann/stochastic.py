@@ -325,15 +325,15 @@ def _fork_pool(task, workers: int):
     return multiprocessing.get_context("fork").Pool(workers, _adopt, (task,))
 
 
-def _map_spans(task, n: int, span: int, holds: float) -> Iterator:
+def _map_spans(task, n: int, span: int, holds: float, serial_span: int | None = None) -> Iterator:
     """``task(lo, hi)`` for consecutive spans of range(n), in span order.
 
     A job of ``holds >= _POOL_HOLDS`` expected holds runs on a fork pool
     of one worker per CPU, with spans of at most ``span`` items and at
     most ceil(n / CPUs), so every CPU gets one.  Workers inherit ``task``
     at fork and receive only (lo, hi).  Smaller jobs, and processes where
-    a pool cannot run, walk spans of ``span`` items here.  Callers check
-    their arguments first, so every error is raised before a pool starts.
+    a pool cannot run, walk spans of ``serial_span or span`` items here.
+    Callers check their arguments first, so errors precede any pool.
     """
     workers = _cpu_count() if holds >= _POOL_HOLDS else 1
     if workers > 1:
@@ -341,8 +341,9 @@ def _map_spans(task, n: int, span: int, holds: float) -> Iterator:
     spans = [(lo, min(n, lo + span)) for lo in range(0, n, span)]
     pool = _fork_pool(task, min(workers, len(spans)))
     if pool is None:
-        for lo, hi in spans:
-            yield task(lo, hi)
+        step = serial_span or span
+        for lo in range(0, n, step):
+            yield task(lo, min(n, lo + step))
         return
     try:
         yield from pool.imap(_run_span, spans)
