@@ -267,8 +267,8 @@ def solve_heat_integral(sub: SubgraphClosure, phi, spec: Spectrum, tol: float) -
     """
     problem = _problem(sub.graph, sub.boundary, sub.measure, sub.boundary_measure(), phi)
     check_spectrum_matches(spec, sub.graph, sub.measure)
-    if not (isinstance(tol, (int, float)) and tol > 0):
-        raise NonpositiveToleranceError(f"tolerance must be positive, got {tol}")
+    if not (isinstance(tol, (int, float)) and 0 < tol < math.inf):
+        raise NonpositiveToleranceError(f"tolerance must be positive and finite, got {tol}")
 
     g, mv, bidx, flux, muv = problem
     mass = sum(abs(f) * w for f, w in zip(flux.tolist(), muv.tolist()))

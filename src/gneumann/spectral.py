@@ -12,16 +12,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from .errors import (
     DisconnectedError,
+    DomainMismatchError,
     IllConditionedError,
     NonpositiveTimeError,
     SpectrumMismatchError,
 )
-from .forms import VertexFunction
+from .forms import VertexFunction, _as_function
 from .graphs import Measure, WeightedGraph, is_connected
 
 __all__ = [
@@ -92,6 +94,11 @@ def eigendecompose(g: WeightedGraph, m: Measure) -> Spectrum:
     orthonormal in the weighted inner product.  Eigenfunction signs are
     fixed so the first nonvanishing coordinate is positive.
 
+    S is filled from the CSR arrays into one n x n buffer, not from the
+    dense Laplacian: each entry repeats the operations of the dense
+    expression on the same operands (both CSR copies of an edge hold its
+    weight), so its bytes, overflows included, are the dense route's.
+
     The eigensolve is LAPACK's divide-and-conquer ``dsyevd`` (Gu &
     Eisenstat, 1995) through ``numpy.linalg.eigh``.  A connected graph has
     exactly one zero mode, so the smallest eigenvalue is set to 0.0; the
@@ -102,21 +109,26 @@ def eigendecompose(g: WeightedGraph, m: Measure) -> Spectrum:
     if not is_connected(g):
         raise DisconnectedError("graph is not connected")
     mv = m.to_vector(g.vertices)
-    inv_sqrt = 1.0 / np.sqrt(mv)
-    S = inv_sqrt[:, None] * g.laplacian_matrix * inv_sqrt[None, :]
-    S = 0.5 * (S + S.T)
-    w, V = np.linalg.eigh(S)
+    inv = 1.0 / np.sqrt(mv)
+    # entry (x, y) is 0.5 * (a_xy + a_yx), a_xy = (inv_x * -w_xy) * inv_y;
+    # the diagonal 0.5 * (d + d), d = (inv_x * deg_x) * inv_x
+    S = np.zeros((g.n, g.n))
+    S[g.rows, g.indices] = 0.5 * (inv[g.rows] * -g.data * inv[g.indices]
+                                  + inv[g.indices] * -g.data * inv[g.rows])
+    d = inv * g.deg * inv
+    np.fill_diagonal(S, 0.5 * (d + d))
+    w, psi = np.linalg.eigh(S)
+    del S
 
-    psi = inv_sqrt[:, None] * V
+    psi *= inv[:, None]
     # renormalize in the weighted inner product (a near no-op after the
     # similarity, but keeps orthonormality tight)
     norms = np.sqrt(np.einsum("ik,i,ik->k", psi, mv, psi))
     psi /= norms[None, :]
 
-    # deterministic sign: first coordinate above noise level positive;
-    # max |col| from the column extremes, so no n x n |psi| is allocated
+    # deterministic sign: first coordinate above noise level positive
     noise = 1e-12 * np.maximum(psi.max(axis=0), -psi.min(axis=0))
-    first = np.argmax((psi > noise) | (psi < -noise), axis=0)
+    first = np.argmax(np.abs(psi) > noise, axis=0)
     psi *= np.where(psi[first, np.arange(psi.shape[1])] < 0, -1.0, 1.0)
 
     floor = g.n * np.finfo(float).eps * float(w[-1])
@@ -209,12 +221,16 @@ def heat_time_integral(spec: Spectrum, f, T: float) -> VertexFunction:
         x -> sum_y integral_0^T p_s(x, y) f(y) m(y) ds,
 
     evaluated per eigenmode in closed form ((1 - exp(-lambda T)) / lambda,
-    and T itself for the zero mode).
+    and T itself for the zero mode).  f is a ``VertexFunction`` or mapping
+    defined exactly on the spectrum's vertices, or a vector in their order.
     """
     T = _check_time(T)
-    if isinstance(f, VertexFunction):
-        f = f.to_vector(spec.vertices)
-    coef = spec.basis.T @ (spec.measure_vector * np.asarray(f, dtype=float))
+    if isinstance(f, (VertexFunction, Mapping)):
+        f = _as_function(f).to_vector(spec.vertices)
+    f = np.asarray(f, dtype=float)
+    if f.shape != (spec.graph.n,):
+        raise DomainMismatchError("f is not a vector on the spectrum's vertices", shape=f.shape)
+    coef = spec.basis.T @ (spec.measure_vector * f)
     lam = spec.eigenvalues
     weights = np.empty_like(lam)
     weights[0] = T
