@@ -197,13 +197,11 @@ def _read_pairs(path, what: str) -> tuple[list[str], np.ndarray]:
 
 
 def read_measure(path) -> Measure:
-    names, values = _read_pairs(path, "m")
-    return Measure(dict(zip(names, values.tolist())))
+    return Measure.from_vector(*_read_pairs(path, "m"))
 
 
 def read_vertex_function(path) -> VertexFunction:
-    names, values = _read_pairs(path, "value")
-    return VertexFunction(dict(zip(names, values.tolist())))
+    return VertexFunction.from_vector(*_read_pairs(path, "value"))
 
 
 def read_vertex_set(path) -> tuple[str, ...]:
@@ -273,10 +271,11 @@ def write_spectrum_csv(spec: Spectrum, path) -> None:
 
 def write_solution_csv(u: VertexFunction, boundary: Iterable, order: Iterable[str], path) -> None:
     bset = {str(v) for v in boundary}
+    order = tuple(order)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("vertex,u,region\r\n")
-        for x in order:
-            fh.write(f"{_csv_cell(x)},{fmt(u[x])},{'boundary' if x in bset else 'interior'}\r\n")
+        for x, v in zip(order, u._at(order).tolist()):
+            fh.write(f"{_csv_cell(x)},{fmt(v)},{'boundary' if x in bset else 'interior'}\r\n")
 
 
 def read_solution_csv(path) -> tuple[VertexFunction, tuple[str, ...]]:

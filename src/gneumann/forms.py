@@ -8,13 +8,9 @@ defined on the wrong vertex set are a hard error, never zero-extended.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
-
 import numpy as np
 
-from .errors import DomainMismatchError
-from .graphs import Measure, SubgraphClosure, WeightedGraph
+from .graphs import Measure, SubgraphClosure, WeightedGraph, _VertexValues
 
 __all__ = [
     "VertexFunction",
@@ -27,38 +23,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VertexFunction:
-    """Real-valued function on a stated vertex set."""
+class VertexFunction(_VertexValues):
+    """Real-valued function on a stated vertex set; a lookup outside it
+    raises ``KeyError``."""
 
-    values: Mapping[str, float]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", {str(k): float(v) for k, v in self.values.items()})
-
-    @property
-    def domain(self) -> frozenset[str]:
-        return frozenset(self.values)
-
-    def __getitem__(self, x) -> float:
-        return self.values[str(x)]
-
-    def to_vector(self, order: Sequence[str]) -> np.ndarray:
-        """Values in the given vertex order; the domains must coincide."""
-        if set(order) != set(self.values):
-            raise DomainMismatchError(
-                "function domain does not match the expected vertex set",
-                missing=sorted(set(order) - set(self.values)),
-                extra=sorted(set(self.values) - set(order)),
-            )
-        return np.array([self.values[v] for v in order])
-
-    @classmethod
-    def from_vector(cls, order: Sequence[str], vec) -> "VertexFunction":
-        vec = np.asarray(vec, dtype=float)
-        if len(order) != vec.shape[0]:
-            raise DomainMismatchError("vector length does not match vertex order")
-        return cls(dict(zip(order, vec.tolist())))
+    _mismatch = "function domain does not match the expected vertex set"
 
 
 def _as_function(f) -> VertexFunction:
@@ -123,4 +92,5 @@ def normal_derivative(sub: SubgraphClosure, u) -> VertexFunction:
 def markov_contraction(u) -> VertexFunction:
     """Pointwise clamp to [0, 1]; never increases the energy."""
     f = _as_function(u)
-    return VertexFunction({x: min(1.0, max(0.0, v)) for x, v in f.values.items()})
+    a = np.where(f.array > 0.0, f.array, 0.0)  # max(0.0, v), then min(1.0, .)
+    return VertexFunction.from_vector(f.vertices, np.where(a < 1.0, a, 1.0))

@@ -9,8 +9,9 @@ beside the degree vector; vertex strings appear only in ``vertices``,
 ``index`` and the per-vertex accessors.  The vertex boundary and the
 closure are mask operations on these arrays, and connectivity is a
 depth-first search over their rows.  Zero-weight entries are dropped
-(zero weight means "no edge").  All types are immutable after
-construction.
+(zero weight means "no edge").  A measure, like a vertex function, is a
+vertex tuple beside a read-only float array.  All types are immutable
+after construction: their arrays are read-only.
 """
 
 from __future__ import annotations
@@ -44,10 +45,6 @@ __all__ = [
 ]
 
 
-def _as_vertex(v) -> str:
-    return v if isinstance(v, str) else str(v)
-
-
 class WeightedGraph:
     """Symmetric edge weights over an ordered finite vertex set, in CSR form.
 
@@ -63,7 +60,7 @@ class WeightedGraph:
         edge in the same input order."""
         verts = tuple(map(str, vertices))
         index = _vertex_index(verts)
-        triples = [(_as_vertex(x), _as_vertex(y), float(w)) for x, y, w in edges]
+        triples = [(str(x), str(y), float(w)) for x, y, w in edges]
         # unknown endpoints get indices from n up, named for the error message
         names = dict(index)
         i = [names.setdefault(x, len(names)) for x, _, _ in triples]
@@ -123,26 +120,22 @@ class WeightedGraph:
         self.indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
         for a in (self.deg, self.rows, self.indices, self.data, self.indptr):
             a.flags.writeable = False
-        self._vertices = verts
+        self.vertices = verts
         self._index = index
 
     @property
-    def vertices(self) -> tuple[str, ...]:
-        return self._vertices
-
-    @property
     def n(self) -> int:
-        return len(self._vertices)
+        return len(self.vertices)
 
     def index(self, x) -> int:
-        x = _as_vertex(x)
+        x = str(x)
         try:
             return self._index[x]
         except KeyError:
             raise UnknownVertexError(f"unknown vertex {x!r}", vertex=x) from None
 
     def __contains__(self, x) -> bool:
-        return _as_vertex(x) in self._index
+        return str(x) in self._index
 
     def weight(self, x, y) -> float:
         i, j = self.index(x), self.index(y)
@@ -156,14 +149,14 @@ class WeightedGraph:
 
     def neighbors(self, x) -> tuple[str, ...]:
         i = self.index(x)
-        return tuple(self._vertices[j] for j in self.indices[self.indptr[i]:self.indptr[i + 1]].tolist())
+        return tuple(self.vertices[j] for j in self.indices[self.indptr[i]:self.indptr[i + 1]].tolist())
 
     def edges(self) -> Iterable[tuple[str, str, float]]:
         """Each positive-weight edge once, as (x, y, weight), ascending in
         (index(x), index(y))."""
         up = self.rows < self.indices
         for i, j, w in zip(self.rows[up].tolist(), self.indices[up].tolist(), self.data[up].tolist()):
-            yield self._vertices[i], self._vertices[j], w
+            yield self.vertices[i], self.vertices[j], w
 
     @cached_property
     def laplacian_matrix(self) -> np.ndarray:
@@ -177,12 +170,12 @@ class WeightedGraph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGraph):
             return NotImplemented
-        return (self._vertices == other._vertices and np.array_equal(self.indptr, other.indptr)
+        return (self.vertices == other.vertices and np.array_equal(self.indptr, other.indptr)
                 and np.array_equal(self.indices, other.indices)
                 and np.array_equal(self.data, other.data))
 
     def __hash__(self):
-        return hash((self._vertices, self.indptr.tobytes(), self.indices.tobytes(), self.data.tobytes()))
+        return hash((self.vertices, self.indptr.tobytes(), self.indices.tobytes(), self.data.tobytes()))
 
     def __repr__(self):
         return f"WeightedGraph(n={self.n}, edges={len(self.data) // 2})"
@@ -215,71 +208,128 @@ def _raise_edge_error(edge: tuple, index: dict, first: float):
     )
 
 
-class Measure:
-    """Strictly positive vertex measure with finite total mass."""
+class _VertexValues:
+    """Floats on distinct vertices: the tuple ``vertices`` beside the
+    read-only ``array`` of values in its order.  Built from a mapping, or
+    from a vertex order and a vector; a repeated name keeps its first
+    position and its last value, as in a dict.  The name-to-position index
+    is built on the first lookup by name.  Instances are equal when they
+    are defined on the same set with equal values, whatever the order.
+    Subclasses name their domain mismatch in ``_mismatch``."""
 
     def __init__(self, values: Mapping):
-        vals = {}
-        for v, m in values.items():
-            v = _as_vertex(v)
-            m = float(m)
-            if not math.isfinite(m) or m <= 0:
-                raise NonPositiveMeasureError(
-                    f"measure must be strictly positive and finite, got m({v!r}) = {m}",
-                    vertex=v, value=m,
-                )
-            vals[v] = m
-        self._values = vals
-        self._total = float(sum(vals.values()))
+        self._set(list(map(str, values)), np.array([float(v) for v in values.values()]))
+
+    @classmethod
+    def from_vector(cls, order: Sequence[str], vec):
+        vec = np.array(vec, dtype=float)  # a copy no caller writes into
+        if vec.ndim != 1 or len(order) != vec.shape[0]:
+            raise DomainMismatchError("vector length does not match vertex order")
+        if len(set(order)) < len(order):  # repeats collapse before names become str
+            return cls(dict(zip(order, vec.tolist())))
+        out = cls.__new__(cls)
+        out._set(list(map(str, order)), vec)
+        return out
+
+    def _set(self, names: list, a: np.ndarray) -> None:
+        if len(set(names)) < len(names):
+            kept = dict(zip(names, a.tolist()))
+            names, a = list(kept), np.array(list(kept.values()))
+        a.flags.writeable = False
+        self.vertices, self.array = tuple(names), a
+
+    @cached_property
+    def _index(self) -> dict:
+        return dict(zip(self.vertices, range(len(self.vertices))))
+
+    def _position(self, x) -> int:
+        return self._index[str(x)]
+
+    def _at(self, names: Sequence) -> np.ndarray:
+        """The values at ``names``, each of which must be defined: ``array``
+        itself when they are the stored order."""
+        if tuple(names) == self.vertices:
+            return self.array
+        return self.array[[self._position(x) for x in names]]
 
     @property
     def values(self) -> dict[str, float]:
-        return dict(self._values)
-
-    @property
-    def total(self) -> float:
-        return self._total
+        return dict(zip(self.vertices, self.array.tolist()))
 
     @property
     def domain(self) -> frozenset[str]:
-        return frozenset(self._values)
+        return frozenset(self.vertices)
 
     def __getitem__(self, x) -> float:
-        x = _as_vertex(x)
-        try:
-            return self._values[x]
-        except KeyError:
-            raise UnknownVertexError(f"measure not defined at {x!r}", vertex=x) from None
+        return self.array.item(self._position(x))
 
     def __contains__(self, x) -> bool:
-        return _as_vertex(x) in self._values
-
-    def restrict(self, vertices: Iterable) -> "Measure":
-        return Measure({v: self[v] for v in vertices})
+        return str(x) in self._index
 
     def to_vector(self, order: Sequence[str]) -> np.ndarray:
-        if set(order) != set(self._values):
+        """The values in the given vertex order, as a new array; the
+        domains must coincide."""
+        order = tuple(order)
+        if order == self.vertices:
+            return self.array.copy()
+        if set(order) != self._index.keys():
             raise DomainMismatchError(
-                "measure domain does not match the requested vertex set",
-                missing=sorted(set(order) - set(self._values)),
-                extra=sorted(set(self._values) - set(order)),
+                self._mismatch,
+                missing=sorted(set(order) - set(self.vertices)),
+                extra=sorted(set(self.vertices) - set(order)),
             )
-        return np.array([self._values[v] for v in order])
+        return self.array[[self._index[x] for x in order]]
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self is other or (self.domain == other.domain
+                                 and bool(np.all(self.array == other._at(self.vertices))))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(values={self.values!r})"
+
+
+class Measure(_VertexValues):
+    """Strictly positive vertex measure with finite total mass."""
+
+    _mismatch = "measure domain does not match the requested vertex set"
+
+    def _set(self, names: list, a: np.ndarray) -> None:
+        super()._set(names, a)
+        bad = ~(np.isfinite(self.array) & (self.array > 0))
+        if bad.any():
+            k = int(np.argmax(bad))
+            v, m = self.vertices[k], float(self.array[k])
+            raise NonPositiveMeasureError(
+                f"measure must be strictly positive and finite, got m({v!r}) = {m}",
+                vertex=v, value=m,
+            )
+
+    def _position(self, x) -> int:
+        try:
+            return super()._position(x)
+        except KeyError:
+            x = str(x)
+            raise UnknownVertexError(f"measure not defined at {x!r}", vertex=x) from None
+
+    @cached_property
+    def total(self) -> float:
+        return float(sum(self.array.tolist()))
+
+    def restrict(self, vertices: Iterable) -> "Measure":
+        names = [str(v) for v in vertices]
+        return Measure.from_vector(names, self._at(names))
 
     @classmethod
     def uniform(cls, vertices: Iterable, value: float = 1.0) -> "Measure":
         return cls({v: value for v in vertices})
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Measure):
-            return NotImplemented
-        return self._values == other._values
-
     def __hash__(self):
-        return hash(tuple(sorted(self._values.items())))
+        return hash(tuple(sorted(zip(self.vertices, self.array.tolist()))))
 
     def __repr__(self):
-        return f"Measure(n={len(self._values)}, total={self._total:g})"
+        return f"Measure(n={len(self.vertices)}, total={self.total:g})"
 
 
 class SubgraphClosure:
@@ -294,48 +344,25 @@ class SubgraphClosure:
 
     def __init__(self, interior: Sequence[str], boundary: Sequence[str],
                  graph: WeightedGraph, measure: Measure):
-        self._interior = tuple(interior)
-        self._boundary = tuple(boundary)
-        self._graph = graph
-        self._measure = measure
-        self._boundary_set = frozenset(self._boundary)
-        self._boundary_measure = measure.restrict(self._boundary)
+        self.interior, self.boundary = tuple(interior), tuple(boundary)
+        self.graph, self.measure = graph, measure
+        self.boundary_set = frozenset(self.boundary)
+        self._boundary_measure = measure.restrict(self.boundary)
         self.measure_vector = measure.to_vector(graph.vertices)
-        self.boundary_index = np.array([graph.index(y) for y in self._boundary], dtype=np.intp)
+        self.boundary_index = np.array([graph.index(y) for y in self.boundary], dtype=np.intp)
         for a in (self.measure_vector, self.boundary_index):
             a.flags.writeable = False
 
     @property
-    def interior(self) -> tuple[str, ...]:
-        return self._interior
-
-    @property
-    def boundary(self) -> tuple[str, ...]:
-        return self._boundary
-
-    @property
     def closure(self) -> tuple[str, ...]:
-        return self._graph.vertices
-
-    @property
-    def graph(self) -> WeightedGraph:
-        return self._graph
-
-    @property
-    def measure(self) -> Measure:
-        return self._measure
-
-    @property
-    def boundary_set(self) -> frozenset[str]:
-        return self._boundary_set
+        return self.graph.vertices
 
     def boundary_measure(self) -> Measure:
         """The ambient measure restricted to the boundary."""
         return self._boundary_measure
 
     def __repr__(self):
-        return (f"SubgraphClosure(interior={len(self._interior)}, "
-                f"boundary={len(self._boundary)})")
+        return f"SubgraphClosure(interior={len(self.interior)}, boundary={len(self.boundary)})"
 
 
 def build_graph(vertices: Sequence, edges: Iterable[tuple] = (), *,
@@ -373,7 +400,7 @@ def is_connected(g: WeightedGraph) -> bool:
 
 def _check_interior(g: WeightedGraph, interior: Iterable) -> np.ndarray:
     """Interior as a vertex mask, after the domain checks."""
-    names = [_as_vertex(v) for v in interior]
+    names = [str(v) for v in interior]
     if not names:
         raise EmptyInteriorError("interior vertex set is empty")
     for v in names:  # the first unknown vertex in the caller's order

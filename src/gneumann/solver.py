@@ -69,7 +69,7 @@ class BoundaryData:
     measure: Measure
 
     def __post_init__(self):
-        if not self.values.values:
+        if not self.values.vertices:
             raise DomainMismatchError("boundary data is empty")
         if self.values.domain != self.measure.domain:
             raise DomainMismatchError(
@@ -78,22 +78,16 @@ class BoundaryData:
                 measure_on=sorted(self.measure.domain),
             )
 
-    @property
-    def boundary(self) -> frozenset[str]:
-        return self.values.domain
-
     @classmethod
     def for_closure(cls, sub: SubgraphClosure, values) -> "BoundaryData":
         """Wrap plain boundary values with the closure's boundary measure."""
-        if not isinstance(values, VertexFunction):
-            values = VertexFunction(dict(values))
-        return cls(values=values, measure=sub.boundary_measure())
+        return cls(values=_as_function(values), measure=sub.boundary_measure())
 
     def project_centered(self) -> tuple["BoundaryData", float]:
         """Subtract the measure-weighted mean; returns (projected, shift)."""
         shift = check_compatibility(self) / self.measure.total
-        vals = {x: v - shift for x, v in self.values.values.items()}
-        return BoundaryData(values=VertexFunction(vals), measure=self.measure), shift
+        values = VertexFunction.from_vector(self.values.vertices, self.values.array - shift)
+        return BoundaryData(values=values, measure=self.measure), shift
 
 
 @dataclass(frozen=True)
@@ -123,12 +117,12 @@ def check_compatibility(phi: BoundaryData) -> float:
     The solvability predicate is |result| small relative to the total
     absolute mass of the data.
     """
-    return sum(v * phi.measure[x] for x, v in phi.values.values.items())
+    return sum((phi.values.array * phi.measure.to_vector(phi.values.vertices)).tolist())
 
 
 def is_compatible(phi: BoundaryData, rtol: float = COMPATIBILITY_RTOL) -> bool:
     total = check_compatibility(phi)
-    mass = sum(abs(v) * phi.measure[x] for x, v in phi.values.values.items())
+    mass = sum((np.abs(phi.values.array) * phi.measure.to_vector(phi.values.vertices)).tolist())
     return abs(total) <= rtol * max(1.0, mass)
 
 

@@ -104,7 +104,8 @@ def eigendecompose(g: WeightedGraph, m: Measure) -> Spectrum:
     exactly one zero mode, so the smallest eigenvalue is set to 0.0; the
     spectrum is refused when the next one is below the eigensolver's
     backward error n * eps * lambda_max, where roundoff cannot tell it
-    from zero.
+    from zero, and when an eigenvalue is not finite, which an entry of S
+    that overflows gives.
     """
     if not is_connected(g):
         raise DisconnectedError("graph is not connected")
@@ -119,6 +120,12 @@ def eigendecompose(g: WeightedGraph, m: Measure) -> Spectrum:
     np.fill_diagonal(S, 0.5 * (d + d))
     w, psi = np.linalg.eigh(S)
     del S
+    if not np.isfinite(w).all():
+        raise IllConditionedError(
+            "the eigensolve returned non-finite eigenvalues: the measure-scaled "
+            "Laplacian overflows",
+            nonfinite_eigenvalues=int(np.count_nonzero(~np.isfinite(w))),
+        )
 
     psi *= inv[:, None]
     # renormalize in the weighted inner product (a near no-op after the

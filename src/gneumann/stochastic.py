@@ -118,7 +118,7 @@ class _ChainParams:
 
     def __init__(self, g: WeightedGraph, m: Measure):
         deg = g.deg.tolist()
-        self.rates = np.array([d / m[x] for d, x in zip(deg, g.vertices)])
+        self.rates = g.deg / m._at(g.vertices)
         self.indptr = g.indptr
         self.indices = g.indices
         self.cum = np.zeros(len(g.data))
@@ -461,8 +461,7 @@ def _occupation_weights(g: WeightedGraph, boundary, m: Measure, mu: Measure,
     mu, not the measure a ``BoundaryData`` carries, weights the occupation."""
     boundary, values, bidx = _boundary_values(g, boundary, phi)
     weights = np.zeros(g.n)
-    mu_b = np.array([mu[y] for y in boundary])
-    weights[bidx] = values.to_vector(boundary) * mu_b / np.array([m[y] for y in boundary])
+    weights[bidx] = values.to_vector(boundary) * mu._at(boundary) / m._at(boundary)
     return weights
 
 

@@ -200,7 +200,7 @@ def check_cross_methods(sub: SubgraphClosure, spec: Spectrum, phi=None,
         raw = rng.standard_normal(len(sub.boundary))
         mb = sub.measure_vector[sub.boundary_index]
         raw -= (raw @ mb) / mb.sum()
-        phi = BoundaryData.for_closure(sub, dict(zip(sub.boundary, raw)))
+        phi = BoundaryData.for_closure(sub, VertexFunction.from_vector(sub.boundary, raw))
     u_direct = solve_direct(sub, phi).u.to_vector(sub.closure)
     u_green = solve_green(sub, phi, spec).u.to_vector(sub.closure)
     u_heat = solve_heat_integral(sub, phi, spec, tol=tol / 10).u.to_vector(sub.closure)

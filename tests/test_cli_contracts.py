@@ -124,3 +124,21 @@ def test_non_utf8_input_is_one_input_error(p3_files, capsys, name):
     assert err["code"] == "InputError"
     assert "can't decode byte 0xff" in err["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["kernel", "verify"])
+def test_an_overflowing_spectrum_is_refused(tmp_path, capsys, command):
+    # the hub of a star of 10 leaves with weight 1e307 has degree 1e308, so
+    # the diagonal of S overflows and the eigenvalues are not finite
+    (tmp_path / "graph.tsv").write_text("".join(f"0\t{k}\t1e307\n" for k in range(1, 11)))
+    (tmp_path / "measure.tsv").write_text("".join(f"{k}\t1.0\n" for k in range(11)))
+    (tmp_path / "interior.tsv").write_text("0\n")
+    out = tmp_path / "out"
+    rc = main([command, "--graph", str(tmp_path / "graph.tsv"),
+               "--measure", str(tmp_path / "measure.tsv"), "--interior", str(tmp_path / "interior.tsv"),
+               "--times", "1", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert json.loads(err, parse_constant=_reject_constant)["code"] == "IllConditioned"
+    assert not out.exists()  # no CSV or report written

@@ -4,6 +4,7 @@ expression's bit for bit, and it forms no dense Laplacian."""
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -85,11 +86,16 @@ def test_csr_fill_matches_dense_expression(seed, n, low, star):
 def test_csr_fill_matches_dense_expression_when_the_diagonal_overflows():
     # the hub's degree, about 1e308, is finite, and so is its S entry d
     # under unit measure; the symmetrizing sum d + d is not, as in the
-    # dense expression
+    # dense expression, whose eigenvalues are then not finite: the CSR
+    # route refuses that spectrum
     g = gn.build_graph([str(i) for i in range(11)], [("0", str(k), 1e307) for k in range(1, 11)])
     assert np.finfo(float).max / 2 < g.deg[0] < np.inf
+    m = gn.Measure.uniform(g.vertices)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert_same_spectrum(g, gn.Measure.uniform(g.vertices))
+        w, _ = dense_eigendecompose(g, m)
+        assert not np.isfinite(w).all()
+        with pytest.raises(IllConditionedError):
+            gn.eigendecompose(g, m)
 
 
 def test_eigendecompose_forms_no_dense_laplacian(monkeypatch):
