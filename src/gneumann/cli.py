@@ -31,20 +31,15 @@ from .solver import (
     solve_heat_integral,
 )
 from .spectral import _check_time, eigendecompose, green_kernel, heat_kernel, heat_time_integral
-from .stochastic import (
-    _expected_holds,
-    _map_spans,
-    _occupation_weights,
-    _path_sampler,
-    mc_estimate_measure,
-)
+from .stochastic import _estimator, _map_spans, _occupation_weights, mc_estimate_measure
 from .verification import run_all_suites
 
 __all__ = ["main"]
 
-# span sizes of the CSV writers on a pool (in-process, one path or row at a time)
-_DUMP_SPAN = 512  # paths of --dump-paths
-_KERNEL_CELLS = 2**15  # kernel CSV cells, about 700 kB of text
+# kernel CSV cells per span on a pool, about 700 kB of text (in-process, one row at a time)
+_KERNEL_CELLS = 2**15
+# a paths.csv row: path_id, step, state and holding_time ("%.17g", as ``fileio.fmt``)
+_PATH_ROW = "%d,%d,%s,%.17g\n"
 
 # every flag once, by destination: (type, choices, default, help).  The
 # table builds the subcommand parsers and checks each --config value.
@@ -217,6 +212,19 @@ def _cmd_solve(config: argparse.Namespace) -> int:
     return 0
 
 
+def _path_rows(vertices):
+    """The formatter of ``paths.csv`` rows from a walked span's
+    ``_recorded_holds``, all rows from one template."""
+    cells = [fileio._csv_cell(x) for x in vertices]  # each id quoted once
+
+    def rows(ids, steps, states, holds) -> str:
+        cols = zip(ids.tolist(), steps.tolist(), map(cells.__getitem__, states.tolist()),
+                   holds.tolist())
+        return (_PATH_ROW * len(ids)) % tuple(chain.from_iterable(cols))
+
+    return rows
+
+
 def _cmd_simulate(config: argparse.Namespace) -> int:
     mode, _, g, m, boundary, mu = _load_problem(config)
     _require(config, "start", "T")
@@ -224,15 +232,24 @@ def _cmd_simulate(config: argparse.Namespace) -> int:
         raise InputError(f"simulation needs N >= 2, got {config.N}")
     _require(config, "phi")
     phi = BoundaryData(values=fileio.read_vertex_function(config.phi), measure=mu)
-    est = mc_estimate_measure(g, boundary, m, mu, phi, config.start, config.T, config.N,
-                              config.seed)
+    args = (g, boundary, m, mu, phi, config.start, config.T, config.N, config.seed)
+    if config.dump_paths:
+        run = _estimator(*args)  # checks now; walks once the output directory exists
+    else:
+        est = mc_estimate_measure(*args)
 
     # spectral value of the same finite-horizon expectation, as reference
     spec = eigendecompose(g, m)
     fvec = _occupation_weights(g, boundary, m, mu, phi)
     ref = heat_time_integral(spec, fvec, config.T)[str(config.start)]
-    z = (est.value - ref) / est.stderr if est.stderr > 0 else None
+    out = _out_dir(config)
 
+    if config.dump_paths:
+        with open(out / "paths.csv", "w", encoding="utf-8") as fh:
+            fh.write("path_id,step,state,holding_time\n")
+            est = run(_path_rows(g.vertices), fh.write)
+
+    z = (est.value - ref) / est.stderr if est.stderr > 0 else None
     report = {
         "start": est.start,
         "T": est.horizon,
@@ -244,26 +261,7 @@ def _cmd_simulate(config: argparse.Namespace) -> int:
         "z_score": z,
         "mode": mode,
     }
-    out = _out_dir(config)
     fileio.write_json(report, out / "estimate.json")
-
-    if config.dump_paths:
-        sample = _path_sampler(g, m, config.start, config.T, config.seed)
-        cells = {x: fileio._csv_cell(x) for x in g.vertices}  # each id quoted once
-
-        def rows(lo: int, hi: int) -> str:
-            lines = []
-            for i in range(lo, hi):
-                path = sample(i)
-                for step, (state, hold) in enumerate(zip(path.states, path.holding_times)):
-                    lines.append(f"{i},{step},{cells[state]},{fileio.fmt(hold)}\n")
-            return "".join(lines)
-
-        holds = _expected_holds(g, m, config.T, config.N)
-        with open(out / "paths.csv", "w", encoding="utf-8") as fh:
-            fh.write("path_id,step,state,holding_time\n")
-            for text in _map_spans(rows, config.N, _DUMP_SPAN, holds, serial_span=1):
-                fh.write(text)
     return 0
 
 

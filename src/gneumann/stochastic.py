@@ -14,14 +14,23 @@ Philox4x64-10 block with counter (k // 4 + 1, 0, 0, 0) and key
 the stream of ``np.random.Philox(key=(seed, i)).random()``.  Draws 2j
 and 2j + 1 give the j-th holding time -log1p(-u)/rate and the j-th jump.
 The Monte Carlo estimator advances all paths of a batch together and
-computes these draws in numpy (``_uniforms``); single paths use the
-scalar walker.  Both take log1p from libm (``math.log1p``), because
-numpy's own SIMD log1p ufunc can differ from it in the last bit depending
-on the CPU, which would make seeded estimates machine-dependent.
+computes these draws in numpy (``_uniforms``).  The CLI's
+``--dump-paths`` records each hold in that same walk, so one walk gives
+both the estimate and the path rows.  The public path API
+(``sample_path``, ``sample_paths``) runs the scalar walker, which one
+long path runs faster.  Both walkers take log1p from libm
+(``math.log1p``), because numpy's own SIMD log1p ufunc can differ from
+it in the last bit depending on the CPU, which would make seeded
+estimates machine-dependent.
+
+A walk that cannot end is refused before it starts, with an
+``IllConditionedError``: a holding rate or the expected holds that is
+not finite, or T times the largest rate at 2^52 or above, where the
+clock ``t += hold`` stops advancing.
 
 Parallelism: a job of at least ``_POOL_HOLDS`` expected holds (the
-estimator, and the CLI's ``--dump-paths``) cuts its paths into spans and
-walks them on a fork pool with one worker per CPU of the process's
+estimator, with or without recorded holds) cuts its paths into spans
+and walks them on a fork pool with one worker per CPU of the process's
 affinity mask, which ``taskset`` restricts.  Results come back in span
 order and each path depends only on (seed, i), so every output is
 byte-identical to the serial run on any number of CPUs.
@@ -39,6 +48,7 @@ import numpy as np
 
 from .errors import (
     HorizonExceededError,
+    IllConditionedError,
     NonpositiveHorizonError,
     UnknownVertexError,
 )
@@ -64,6 +74,10 @@ _MAX_BLOCKS = 64  # draw blocks per path and refill, when few paths are live
 # expected holds from which a job runs on a pool: starting, using and
 # closing one costs 20-35 ms, the time of about 6e4 holds of _walk_paths
 _POOL_HOLDS = 2**15
+# paths per span of a walk that records its holds: on a pool, and in the
+# calling process, where a span's record and rows are all held at once
+_ROWS_SPAN = 512
+_ROWS_SERIAL = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,13 +250,16 @@ def _walk(chain: _ChainParams, i0: int, T: float, rng: np.random.Generator):
 
 
 def _walk_paths(chain: _ChainParams, i0: int, T: float, seed: int,
-                paths: np.ndarray, weights: np.ndarray) -> np.ndarray:
+                paths: np.ndarray, weights: np.ndarray, record: list | None = None) -> np.ndarray:
     """Integral over [0, T] of weights along each path, all paths at once.
 
     Each step moves every live path by one hold and one jump, with the
     draws and the arithmetic of ``_walk``, so path i's value is bit for
     bit the one ``_walk`` on stream (seed, i) gives.  Live paths have all
     used 2 * step draws, so one ``_uniforms`` call refills them together.
+    With ``record``, each step also appends the positions in ``paths`` of
+    the paths it moves, their states and their holds (the last as drawn,
+    as ``SamplePath`` keeps it); ``_recorded_holds`` orders them by path.
     """
     paths = np.asarray(paths, dtype=np.uint64)
     vals = np.zeros(len(paths))
@@ -263,6 +280,8 @@ def _walk_paths(chain: _ChainParams, i0: int, T: float, seed: int,
             rate = chain.rates[x]
             hold = np.full(len(x), math.inf)
             np.divide(neglog[rows, j], rate, out=hold, where=rate > 0.0)
+            if record is not None:
+                record.append((live, x, hold))
             w = weights[x]
             hit = w != 0.0
             if hit.any():
@@ -278,6 +297,18 @@ def _walk_paths(chain: _ChainParams, i0: int, T: float, seed: int,
             x = chain.jump(x, u[rows, 2 * j + 1])
         step += 2 * nblocks
     return vals
+
+
+def _recorded_holds(record: list, lo: int, n: int) -> tuple[np.ndarray, ...]:
+    """The holds a walk of paths lo .. lo+n-1 recorded, path by path and
+    step by step: each hold's path id, step number, state index and time."""
+    pos = np.concatenate([p for p, _, _ in record])
+    order = np.argsort(pos, kind="stable")  # a path's steps stay in walk order
+    lengths = np.bincount(pos, minlength=n)
+    steps = np.arange(len(pos)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    states = np.concatenate([x for _, x, _ in record])[order]
+    holds = np.concatenate([h for _, _, h in record])[order]
+    return lo + np.repeat(np.arange(n), lengths), steps, states, holds
 
 
 def _check_horizon(T: float) -> float:
@@ -357,16 +388,39 @@ def _expected_holds(g: WeightedGraph, m: Measure, T: float, N: int) -> float:
     return N * (1.0 + T * float(g.deg.sum()) / m.total)
 
 
-def _path_sampler(g: WeightedGraph, m: Measure, x0, T: float, seed: int):
-    """The function that simulates path i of ``sample_paths``; arguments
-    are checked and the jump table built before it returns."""
-    T = _check_horizon(T)
-    x0 = str(x0)
+def _checked_holds(g: WeightedGraph, m: Measure, chain: _ChainParams, T: float, N: int) -> float:
+    """``_expected_holds`` of N paths, once the walks are known to end: a
+    holding rate or the expected holds that is not finite, or a largest
+    rate r with T * r >= 2^52, where the mean hold 1/r is below the
+    clock's rounding step near T and ``t += hold`` stops advancing, is an
+    ``IllConditionedError``."""
+    holds = _expected_holds(g, m, T, N)
+    rate = float(chain.rates.max(initial=0.0))
+    if not (T * rate < 2.0**52 and math.isfinite(holds)):  # NaN fails too
+        raise IllConditionedError(
+            f"a walk to horizon {T} cannot end: the largest holding rate is {rate}, and "
+            f"T * rate must stay below 2^52 and the expected holds ({holds}) finite",
+            rate=rate, horizon=T)
+    return holds
+
+
+def _start_index(g: WeightedGraph, x0: str) -> int:
     if x0 not in g:
         raise UnknownVertexError(f"start vertex {x0!r} not in graph", vertex=x0)
+    return g.index(x0)
+
+
+def sample_paths(g: WeightedGraph, m: Measure, x0, T: float, seed: int,
+                 paths: Iterable[int]) -> Iterator[SamplePath]:
+    """Simulate the chain on an arbitrary graph from x0 up to time T, one
+    path per index in ``paths``, path i on stream (seed, i); the paths
+    share one jump table.  Arguments are checked, and the table built,
+    before this returns."""
+    T = _check_horizon(T)
+    i0 = _start_index(g, str(x0))
     seed = int(seed)
     chain = _ChainParams(g, m)
-    i0 = g.index(x0)
+    _checked_holds(g, m, chain, T, 1)
 
     def sample(index: int) -> SamplePath:
         states, holds = _walk(chain, i0, T, _stream_rng(seed, index))
@@ -377,15 +431,7 @@ def _path_sampler(g: WeightedGraph, m: Measure, x0, T: float, seed: int):
             seed=(seed, int(index)),
         )
 
-    return sample
-
-
-def sample_paths(g: WeightedGraph, m: Measure, x0, T: float, seed: int,
-                 paths: Iterable[int]) -> Iterator[SamplePath]:
-    """Simulate the chain on an arbitrary graph from x0 up to time T, one
-    path per index in ``paths``, path i on stream (seed, i); the paths
-    share one jump table.  Arguments are checked before this returns."""
-    return map(_path_sampler(g, m, x0, T, seed), paths)
+    return map(sample, paths)
 
 
 def sample_path_graph(g: WeightedGraph, m: Measure, x0, T: float, stream) -> SamplePath:
@@ -465,29 +511,59 @@ def _occupation_weights(g: WeightedGraph, boundary, m: Measure, mu: Measure,
     return weights
 
 
-def mc_estimate_measure(g: WeightedGraph, boundary: Sequence, m: Measure, mu: Measure,
-                        phi, x0, T: float, N: int, seed: int) -> MCEstimate:
-    """Boundary-measure Monte Carlo on an arbitrary graph: the chain runs
-    on g itself and boundary occupation is weighted by phi * mu / m."""
+def _estimator(g: WeightedGraph, boundary: Sequence, m: Measure, mu: Measure,
+               phi, x0, T: float, N: int, seed: int):
+    """``mc_estimate_measure`` in two steps: the arguments are checked and
+    the jump table built before this returns ``run``.
+
+    ``run()`` walks the N paths once, in spans on ``_map_spans``, and
+    returns the estimate.  ``run(rows, write)`` also records every hold:
+    where a span is walked, in a pool worker or here, ``rows`` turns the
+    span's ``_recorded_holds`` into a result that ``write`` receives here,
+    in path order.  Recorded spans are ``_ROWS_SPAN`` paths on a pool and
+    ``_ROWS_SERIAL`` in this process, which keeps their rows small.
+    """
     T = _check_horizon(T)
     if int(N) < 2:
         raise ValueError(f"need at least 2 samples, got {N}")
     N = int(N)
     x0 = str(x0)
-    if x0 not in g:
-        raise UnknownVertexError(f"start vertex {x0!r} not in graph", vertex=x0)
+    i0 = _start_index(g, x0)
     weights = _occupation_weights(g, boundary, m, mu, phi)
-
     chain = _ChainParams(g, m)
-    i0 = g.index(x0)
+    holds = _checked_holds(g, m, chain, T, N)
 
-    def walk(lo: int, hi: int) -> np.ndarray:
-        return _walk_paths(chain, i0, T, seed, np.arange(lo, hi), weights)
+    def run(rows=None, write=None) -> MCEstimate:
+        def walk(lo: int, hi: int):
+            if rows is None:
+                return _walk_paths(chain, i0, T, seed, np.arange(lo, hi), weights), None
+            record: list = []
+            vals = _walk_paths(chain, i0, T, seed, np.arange(lo, hi), weights, record)
+            return vals, rows(*_recorded_holds(record, lo, hi - lo))
 
-    vals = np.concatenate(list(_map_spans(walk, N, _BATCH, _expected_holds(g, m, T, N))))
-    value = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(N))
-    return MCEstimate(value=value, stderr=stderr, samples=N, horizon=T, start=x0, seed=int(seed))
+        if rows is None:
+            spans = _map_spans(walk, N, _BATCH, holds)
+        else:
+            spans = _map_spans(walk, N, _ROWS_SPAN, holds, serial_span=_ROWS_SERIAL)
+        parts = []
+        for vals, result in spans:
+            parts.append(vals)
+            if rows is not None:
+                write(result)
+        vals = np.concatenate(parts)
+        value = float(np.mean(vals))
+        stderr = float(np.std(vals, ddof=1) / math.sqrt(N))
+        return MCEstimate(value=value, stderr=stderr, samples=N, horizon=T, start=x0,
+                          seed=int(seed))
+
+    return run
+
+
+def mc_estimate_measure(g: WeightedGraph, boundary: Sequence, m: Measure, mu: Measure,
+                        phi, x0, T: float, N: int, seed: int) -> MCEstimate:
+    """Boundary-measure Monte Carlo on an arbitrary graph: the chain runs
+    on g itself and boundary occupation is weighted by phi * mu / m."""
+    return _estimator(g, boundary, m, mu, phi, x0, T, N, seed)()
 
 
 def occupation_density(paths: Sequence[SamplePath], t: float, y, m: Measure) -> float:

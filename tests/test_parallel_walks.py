@@ -70,7 +70,7 @@ def test_dump_paths_bytes_do_not_depend_on_worker_count(p3_files, monkeypatch, p
     serial = run(1)
     assert pools == []
     assert run(3) == serial
-    assert pools == ["fork", "fork"]  # the estimate's pool, then the dump's
+    assert pools == ["fork"]  # one walk serves the estimate and the dump
     assert serial[1].decode().splitlines()[-1].startswith("1500,")
 
 
