@@ -36,10 +36,11 @@ from .verification import run_all_suites
 
 __all__ = ["main"]
 
-# kernel CSV cells per span on a pool, about 700 kB of text (in-process, one row at a time)
+# kernel CSV cells per span, about 700 kB of text
 _KERNEL_CELLS = 2**15
 # a paths.csv row: path_id, step, state and holding_time ("%.17g", as ``fileio.fmt``)
 _PATH_ROW = "%d,%d,%s,%.17g\n"
+_PATH_CHUNK = 4096  # paths.csv rows formatted at once, each cell a Python object meanwhile
 
 # every flag once, by destination: (type, choices, default, help).  The
 # table builds the subcommand parsers and checks each --config value.
@@ -214,13 +215,17 @@ def _cmd_solve(config: argparse.Namespace) -> int:
 
 def _path_rows(vertices):
     """The formatter of ``paths.csv`` rows from a walked span's
-    ``_recorded_holds``, all rows from one template."""
+    ``_recorded_holds``: one template, ``_PATH_CHUNK`` rows at a time."""
     cells = [fileio._csv_cell(x) for x in vertices]  # each id quoted once
 
-    def rows(ids, steps, states, holds) -> str:
+    def chunk(ids, steps, states, holds) -> str:
         cols = zip(ids.tolist(), steps.tolist(), map(cells.__getitem__, states.tolist()),
                    holds.tolist())
         return (_PATH_ROW * len(ids)) % tuple(chain.from_iterable(cols))
+
+    def rows(ids, steps, states, holds) -> str:
+        return "".join(chunk(*(col[lo:lo + _PATH_CHUNK] for col in (ids, steps, states, holds)))
+                       for lo in range(0, len(ids), _PATH_CHUNK))
 
     return rows
 
@@ -295,7 +300,7 @@ def _cmd_kernel(config: argparse.Namespace) -> int:
     # formatting a cell takes about 0.75 us and a hold of the walker about
     # 0.4 us (2-core Xeon), so a job of c cells weighs 2c holds
     holds = 2.0 * len(tables) * n * (n + 1)
-    spans = _map_spans(rows, len(tables) * n, max(1, _KERNEL_CELLS // n), holds, serial_span=1)
+    spans = _map_spans(rows, len(tables) * n, max(1, _KERNEL_CELLS // n), holds)
     for k, pieces in groupby(chain.from_iterable(spans), key=itemgetter(0)):
         tables[k].write(out / names[k], (text for _, text in pieces))
     return 0

@@ -72,10 +72,9 @@ class WeightedGraph:
     def from_arrays(cls, vertices: Sequence, i, j, w) -> "WeightedGraph":
         """Graph whose k-th edge is (vertices[i[k]], vertices[j[k]], w[k]).
 
-        Every index must lie in ``range(len(vertices))``.  Weights are
-        symmetrized; positive self-loops, negative or non-finite weights
-        and conflicting duplicates are rejected, the first bad edge in
-        input order raising.
+        Weights are symmetrized; an index outside ``range(len(vertices))``,
+        positive self-loops, negative or non-finite weights and conflicting
+        duplicates are rejected, the first bad edge in input order raising.
         """
         verts = tuple(map(str, vertices))
         g = cls.__new__(cls)
@@ -89,7 +88,7 @@ class WeightedGraph:
         index, the ones from n up being unknown endpoints."""
         n = len(verts)
         lo, hi = np.minimum(i, j), np.maximum(i, j)
-        known = hi < n
+        known = (lo >= 0) & (hi < n)
         loop = known & (i == j)
         bad_weight = ~(np.isfinite(w) & (w >= 0))
         pair = known & ~loop & ~bad_weight
@@ -106,6 +105,9 @@ class WeightedGraph:
         bad = ~known | bad_weight | (loop & (w > 0)) | conflict
         if bad.any():
             k = int(np.argmax(bad))
+            for v in (int(i[k]), int(j[k])):
+                if not 0 <= v < len(names):  # only from_arrays leaves an index unnamed
+                    raise UnknownVertexError(f"vertex index {v} outside 0..{n - 1}", vertex=v)
             _raise_edge_error((names[i[k]], names[j[k]], float(w[k])), index, float(w[prior[k]]))
 
         # degrees accumulate over the interleaved endpoints in input order,

@@ -28,12 +28,12 @@ A walk that cannot end is refused before it starts, with an
 not finite, or T times the largest rate at 2^52 or above, where the
 clock ``t += hold`` stops advancing.
 
-Parallelism: a job of at least ``_POOL_HOLDS`` expected holds (the
-estimator, with or without recorded holds) cuts its paths into spans
-and walks them on a fork pool with one worker per CPU of the process's
-affinity mask, which ``taskset`` restricts.  Results come back in span
-order and each path depends only on (seed, i), so every output is
-byte-identical to the serial run on any number of CPUs.
+Parallelism: the estimator walks its paths in spans (of ``_ROWS_SPAN``
+paths when it records holds), on a fork pool with one worker per CPU of
+the process's affinity mask, which ``taskset`` restricts, once a job has
+``_POOL_HOLDS`` expected holds.  Results come back in span order and each
+path depends only on (seed, i), so every output is byte-identical to the
+serial run on any number of CPUs.  Pool workers die with their parent.
 """
 
 from __future__ import annotations
@@ -74,10 +74,10 @@ _MAX_BLOCKS = 64  # draw blocks per path and refill, when few paths are live
 # expected holds from which a job runs on a pool: starting, using and
 # closing one costs 20-35 ms, the time of about 6e4 holds of _walk_paths
 _POOL_HOLDS = 2**15
-# paths per span of a walk that records its holds: on a pool, and in the
-# calling process, where a span's record and rows are all held at once
-_ROWS_SPAN = 512
-_ROWS_SERIAL = 256
+# paths per span of a walk that records its holds, whose record and rows
+# are held at once where the span is walked
+_ROWS_SPAN = 256
+_PR_SET_PDEATHSIG = 1  # prctl(2) option: the signal a process gets when its parent dies
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,9 +257,10 @@ def _walk_paths(chain: _ChainParams, i0: int, T: float, seed: int,
     draws and the arithmetic of ``_walk``, so path i's value is bit for
     bit the one ``_walk`` on stream (seed, i) gives.  Live paths have all
     used 2 * step draws, so one ``_uniforms`` call refills them together.
-    With ``record``, each step also appends the positions in ``paths`` of
-    the paths it moves, their states and their holds (the last as drawn,
-    as ``SamplePath`` keeps it); ``_recorded_holds`` orders them by path.
+    With ``record``, each refill appends one array triple: the positions
+    in ``paths`` of the paths its steps moved, their states and holds (the
+    last as drawn, as ``SamplePath`` keeps it), which ``_recorded_holds``
+    orders by path.
     """
     paths = np.asarray(paths, dtype=np.uint64)
     vals = np.zeros(len(paths))
@@ -276,12 +277,13 @@ def _walk_paths(chain: _ChainParams, i0: int, T: float, seed: int,
                              dtype=float, count=u.size // 2)
         neglog = -neglog.reshape(live.size, 2 * nblocks)
         rows = np.arange(live.size)
+        steps = [] if record is not None else None
         for j in range(2 * nblocks):
             rate = chain.rates[x]
             hold = np.full(len(x), math.inf)
             np.divide(neglog[rows, j], rate, out=hold, where=rate > 0.0)
-            if record is not None:
-                record.append((live, x, hold))
+            if steps is not None:
+                steps.append((live, x, hold))
             w = weights[x]
             hit = w != 0.0
             if hit.any():
@@ -295,6 +297,8 @@ def _walk_paths(chain: _ChainParams, i0: int, T: float, seed: int,
                 if not live.size:
                     break
             x = chain.jump(x, u[rows, 2 * j + 1])
+        if steps is not None:
+            record.append(tuple(map(np.concatenate, zip(*steps))))
         step += 2 * nblocks
     return vals
 
@@ -330,9 +334,20 @@ def _cpu_count() -> int:
 _span_task = None  # in a pool worker: the task it inherited at fork
 
 
-def _adopt(task) -> None:
+def _adopt(task, parent: int) -> None:
+    """Pool initializer: keep ``task``, and die with ``parent``, whose
+    ``pool.terminate()`` a SIGKILL skips."""
+    import ctypes
+    import signal
+
     global _span_task
     _span_task = task
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)  # Linux
+    if prctl is not None:
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:  # the parent died before the signal was set
+        os._exit(1)
 
 
 def _run_span(span: tuple[int, int]):
@@ -353,18 +368,17 @@ def _fork_pool(task, workers: int):
             or "fork" not in multiprocessing.get_all_start_methods()
             or threading.active_count() > 1):
         return None
-    return multiprocessing.get_context("fork").Pool(workers, _adopt, (task,))
+    return multiprocessing.get_context("fork").Pool(workers, _adopt, (task, os.getpid()))
 
 
-def _map_spans(task, n: int, span: int, holds: float, serial_span: int | None = None) -> Iterator:
-    """``task(lo, hi)`` for consecutive spans of range(n), in span order.
-
-    A job of ``holds >= _POOL_HOLDS`` expected holds runs on a fork pool
-    of one worker per CPU, with spans of at most ``span`` items and at
-    most ceil(n / CPUs), so every CPU gets one.  Workers inherit ``task``
-    at fork and receive only (lo, hi).  Smaller jobs, and processes where
-    a pool cannot run, walk spans of ``serial_span or span`` items here.
-    Callers check their arguments first, so errors precede any pool.
+def _map_spans(task, n: int, span: int, holds: float) -> Iterator:
+    """``task(lo, hi)`` for consecutive spans of range(n) of at most
+    ``span`` items, in span order, on a fork pool of one worker per CPU
+    for a job of ``holds >= _POOL_HOLDS`` expected holds, whose spans are
+    also at most ceil(n / CPUs) so that every CPU gets one.  Workers
+    inherit ``task`` at fork and receive only (lo, hi).  Smaller jobs, and
+    processes where a pool cannot run, walk the same spans here.  Callers
+    check their arguments first, so errors precede any pool.
     """
     workers = _cpu_count() if holds >= _POOL_HOLDS else 1
     if workers > 1:
@@ -372,9 +386,7 @@ def _map_spans(task, n: int, span: int, holds: float, serial_span: int | None = 
     spans = [(lo, min(n, lo + span)) for lo in range(0, n, span)]
     pool = _fork_pool(task, min(workers, len(spans)))
     if pool is None:
-        step = serial_span or span
-        for lo in range(0, n, step):
-            yield task(lo, min(n, lo + step))
+        yield from (task(lo, hi) for lo, hi in spans)
         return
     try:
         yield from pool.imap(_run_span, spans)
@@ -516,12 +528,12 @@ def _estimator(g: WeightedGraph, boundary: Sequence, m: Measure, mu: Measure,
     """``mc_estimate_measure`` in two steps: the arguments are checked and
     the jump table built before this returns ``run``.
 
-    ``run()`` walks the N paths once, in spans on ``_map_spans``, and
-    returns the estimate.  ``run(rows, write)`` also records every hold:
-    where a span is walked, in a pool worker or here, ``rows`` turns the
-    span's ``_recorded_holds`` into a result that ``write`` receives here,
-    in path order.  Recorded spans are ``_ROWS_SPAN`` paths on a pool and
-    ``_ROWS_SERIAL`` in this process, which keeps their rows small.
+    ``run()`` walks the N paths once, in spans of ``_BATCH`` paths on
+    ``_map_spans``, and returns the estimate.  ``run(rows, write)`` also
+    records every hold, in spans of ``_ROWS_SPAN`` paths: where a span is
+    walked, in a pool worker or here, ``rows`` turns the span's
+    ``_recorded_holds`` into a result that ``write`` receives here, in
+    path order.
     """
     T = _check_horizon(T)
     if int(N) < 2:
@@ -535,18 +547,12 @@ def _estimator(g: WeightedGraph, boundary: Sequence, m: Measure, mu: Measure,
 
     def run(rows=None, write=None) -> MCEstimate:
         def walk(lo: int, hi: int):
-            if rows is None:
-                return _walk_paths(chain, i0, T, seed, np.arange(lo, hi), weights), None
-            record: list = []
+            record = None if rows is None else []
             vals = _walk_paths(chain, i0, T, seed, np.arange(lo, hi), weights, record)
-            return vals, rows(*_recorded_holds(record, lo, hi - lo))
+            return vals, None if rows is None else rows(*_recorded_holds(record, lo, hi - lo))
 
-        if rows is None:
-            spans = _map_spans(walk, N, _BATCH, holds)
-        else:
-            spans = _map_spans(walk, N, _ROWS_SPAN, holds, serial_span=_ROWS_SERIAL)
         parts = []
-        for vals, result in spans:
+        for vals, result in _map_spans(walk, N, _BATCH if rows is None else _ROWS_SPAN, holds):
             parts.append(vals)
             if rows is not None:
                 write(result)

@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import gneumann
 from gneumann import BoundaryData, Measure, build_graph, closure_subgraph
 from gneumann.errors import DisconnectedClosureError
+
+SRC = str(Path(gneumann.__file__).resolve().parents[1])
 
 
 def random_connected_graph(rng, n, extra_edge_prob=0.3, max_weight=2.0):
@@ -53,3 +62,24 @@ def random_noncentered_phi(rng, sub) -> BoundaryData:
     # mass, so the data is decisively non-centered
     raw = np.abs(rng.standard_normal(len(sub.boundary))) + 0.1
     return BoundaryData.for_closure(sub, dict(zip(sub.boundary, raw)))
+
+
+def run_python(args) -> subprocess.CompletedProcess:
+    """``python args`` in a child process with the package on its path and
+    a session of its own: a regression could walk forever, and a timeout
+    then kills the whole session, pool workers included."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, *args], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise
+    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
+
+
+def run_cli(args, out: Path) -> subprocess.CompletedProcess:
+    """The CLI with ``args`` and ``--out out``, through ``run_python``."""
+    return run_python(["-m", "gneumann.cli", *args, "--out", str(out)])

@@ -2,17 +2,12 @@
 validated ``--config`` values."""
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import gneumann as gn
 from gneumann.cli import main
-
-SRC = str(Path(gn.__file__).resolve().parents[1])
+from instances import run_cli
 
 
 @pytest.fixture
@@ -39,12 +34,8 @@ def _error(capsys) -> dict:
 
 def test_simulate_infinite_horizon_is_rejected(p3_files):
     # a regression would loop forever, so run it in a child process
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "gneumann.cli", "simulate", *_closure_flags(p3_files),
-         "--start", "2", "--T", "inf", "--N", "2", "--out", str(p3_files / "sim")],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    proc = run_cli(["simulate", *_closure_flags(p3_files), "--start", "2", "--T", "inf",
+                    "--N", "2"], p3_files / "sim")
     assert proc.returncode == 1
     err = json.loads(proc.stderr, parse_constant=_reject_constant)
     assert err["code"] == "NonpositiveHorizon"

@@ -60,6 +60,21 @@ def test_build_rejects_unknown_vertex():
         gn.build_graph(["1", "2"], [("1", "3", 1.0)])
 
 
+@pytest.mark.parametrize("i, j, w, bad", [
+    ([0, 5], [1, 1], [1.0, 1.0], 5),
+    ([-1], [2], [1.0], -1),
+    ([0, 1], [1, 3], [1.0, 1.0], 3),  # the second endpoint of an edge
+    # the first bad edge in input order decides, whatever its fault
+    ([0, 9, 1], [1, 1, 1], [-1.0, 1.0, 1.0], None),
+    ([3, 0], [1, 1], [1.0, -1.0], 3),
+])
+def test_from_arrays_rejects_an_index_outside_the_vertices(i, j, w, bad):
+    with pytest.raises(UnknownVertexError if bad is not None else NegativeWeightError) as e:
+        gn.build_graph(["a", "b", "c"], arrays=(np.array(i), np.array(j), np.array(w)))
+    if bad is not None:
+        assert e.value.context == {"vertex": bad}
+
+
 def test_zero_weight_edges_are_dropped():
     g = gn.build_graph(["1", "2", "3"], [("1", "2", 1.0), ("2", "3", 0.0)])
     assert g.neighbors("2") == ("1",)

@@ -2,9 +2,11 @@
 
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -128,3 +130,50 @@ def test_help_imports_no_process_pool():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def _live_group(pgid: int) -> set[int]:
+    """The processes of process group ``pgid`` that are not zombies."""
+    pids = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            state, _, pgrp = stat.read_text().rpartition(")")[2].split()[:3]
+        except OSError:  # the process ended
+            continue
+        if int(pgrp) == pgid and state != "Z":
+            pids.add(int(stat.parent.name))
+    return pids
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads the process table")
+def test_pool_workers_die_with_their_parent(p3_files):
+    # spans of 4096 paths of about 27k holds: a worker that outlived the CLI
+    # would walk on for many seconds
+    code = ("import sys\n"
+            "from gneumann import cli, stochastic\n"
+            "stochastic._cpu_count = lambda: 2\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code, "simulate", "--graph", str(p3_files / "graph.tsv"),
+         "--measure", str(p3_files / "measure.tsv"), "--interior", str(p3_files / "interior.tsv"),
+         "--phi", str(p3_files / "phi.tsv"), "--start", "2", "--T", "20000", "--N", "16384",
+         "--out", str(p3_files / "sim")],
+        env={**os.environ, "PYTHONPATH": SRC}, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 60
+        while len(_live_group(proc.pid) - {proc.pid}) < 2:  # the two workers
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        proc.kill()
+        proc.wait(timeout=60)
+        deadline = time.monotonic() + 5
+        while _live_group(proc.pid):
+            assert time.monotonic() < deadline, "pool workers outlived the CLI"
+            time.sleep(0.02)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait(timeout=60)

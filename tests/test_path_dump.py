@@ -5,9 +5,6 @@ import json
 import math
 import multiprocessing
 import os
-import signal
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -20,9 +17,8 @@ from hypothesis import strategies as st
 import gneumann as gn
 from gneumann import cli, fileio, stochastic
 from gneumann.errors import IllConditionedError, NonpositiveHorizonError
-from instances import random_centered_phi, random_closure
+from instances import random_centered_phi, random_closure, run_cli, run_python
 
-SRC = str(Path(gn.__file__).resolve().parents[1])
 HEADER = "path_id,step,state,holding_time\n"
 
 
@@ -98,9 +94,9 @@ def _check_dump(d: Path, start: str, T: float, N: int, seed: int) -> None:
         assert pools == (["fork"] if cpus > 1 else [])
 
 
-# span edges of both walkers: the in-process span (256 paths), the pool span
-# (512) and the estimator's batch (4096)
-@pytest.mark.parametrize("N", [511, 512, 513, 4095, 4096, 4097])
+# span edges: the recording span (256 paths), twice it, and the estimator's
+# batch (4096)
+@pytest.mark.parametrize("N", [255, 256, 257, 511, 512, 513, 4095, 4096, 4097])
 @settings(max_examples=3, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(st.integers(min_value=0, max_value=10_000), st.floats(min_value=0.05, max_value=1.0),
        st.integers(min_value=-(2**63), max_value=2**64 - 1))
@@ -167,25 +163,64 @@ def test_dump_from_a_degree_zero_start(monkeypatch):
         assert (est.value, est.stderr) == (3.0, 0.0)
 
 
-def _run_cli(args, out: Path) -> subprocess.CompletedProcess:
-    """The CLI in a child process with a session of its own: a regression
-    could walk forever, and a timeout then kills its pool workers too."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.Popen([sys.executable, "-m", "gneumann.cli", *args, "--out", str(out)],
-                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                            start_new_session=True)
-    try:
-        stdout, stderr = proc.communicate(timeout=60)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        raise
-    return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_dump_of_paths_that_outlive_a_refill(p3_closure, p3_phi, monkeypatch, cpus):
+    # each path's record spans several refills of the batch walker, which
+    # the recorder joins path by path
+    g, m = p3_closure.graph, p3_closure.measure
+    T, N, seed = 300.0, 3, 5
+    ref = _reference_rows(g, m, "2", T, N, seed)
+    holds = np.bincount([int(row.split(",")[0]) for row in ref.splitlines()])
+    assert holds.min() > 2 * (2 * stochastic._MAX_BLOCKS)  # steps per refill of 3 paths
+    monkeypatch.setattr(stochastic, "_POOL_HOLDS", 0)
+    monkeypatch.setattr(stochastic, "_cpu_count", lambda: cpus)
+    run = stochastic._estimator(g, p3_closure.boundary, m, p3_closure.boundary_measure(),
+                                p3_phi, "2", T, N, seed)
+    texts = []
+    est = run(cli._path_rows(g.vertices), texts.append)
+    assert "".join(texts) == ref
+    assert est == gn.mc_estimate(p3_closure, p3_phi, "2", T, N, seed)
+
+
+# the CLI as a grandchild on one CPU, and the exit code and max RSS (kB)
+# that os.wait4 reports for it: a child of this process would inherit its
+# high-water mark through exec, and a small Python between them does not
+_MAX_RSS = """\
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+pid = os.fork()
+if pid == 0:
+    os.execv(sys.executable, [sys.executable, "-m", "gneumann.cli", *sys.argv[1:]])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_dump_of_few_long_paths_holds_little_memory(tmp_path, p3_closure, p3_phi):
+    # two paths of about 27k holds each: one span, walked in the CLI process
+    _write_closure(tmp_path, p3_closure, p3_phi, {x: x for x in p3_closure.graph.vertices})
+
+    def max_rss(T: str) -> int:
+        proc = run_python(["-c", _MAX_RSS, "simulate", "--graph", str(tmp_path / "graph.tsv"),
+                           "--measure", str(tmp_path / "measure.tsv"),
+                           "--interior", str(tmp_path / "interior.tsv"),
+                           "--phi", str(tmp_path / "phi.tsv"), "--start", "2", "--T", T,
+                           "--N", "2", "--dump-paths", "--out", str(tmp_path / f"T{T}")])
+        rc, rss = map(int, proc.stdout.split())
+        assert rc == 0, proc.stderr
+        return rss
+
+    base = max_rss("1")
+    excess = max_rss("20000") - base
+    with open(tmp_path / "T20000" / "paths.csv", encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) > 50_000
+    assert excess < 12 * 1024
 
 
 def test_dump_with_an_infinite_horizon_is_rejected(tmp_path, p3_closure, p3_phi):
     _write_closure(tmp_path, p3_closure, p3_phi, {x: x for x in p3_closure.graph.vertices})
-    proc = _run_cli(["simulate", "--graph", str(tmp_path / "graph.tsv"),
+    proc = run_cli(["simulate", "--graph", str(tmp_path / "graph.tsv"),
                      "--measure", str(tmp_path / "measure.tsv"),
                      "--interior", str(tmp_path / "interior.tsv"),
                      "--phi", str(tmp_path / "phi.tsv"), "--start", "2", "--T", "inf",
@@ -213,7 +248,7 @@ def star_files(tmp_path):
 @pytest.mark.parametrize("dump", [[], ["--dump-paths"]])
 def test_simulate_refuses_a_walk_that_cannot_end(star_files, dump):
     d = star_files
-    proc = _run_cli(["simulate", "--graph", str(d / "graph.tsv"),
+    proc = run_cli(["simulate", "--graph", str(d / "graph.tsv"),
                      "--measure", str(d / "measure.tsv"), "--interior", str(d / "interior.tsv"),
                      "--phi", str(d / "phi.tsv"), "--start", "h", "--T", "1", "--N", "100",
                      *dump], d / "sim")
