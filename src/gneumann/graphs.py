@@ -27,6 +27,7 @@ from .errors import (
     DisconnectedClosureError,
     DomainMismatchError,
     EmptyInteriorError,
+    InputError,
     InteriorIsWholeGraphError,
     NegativeWeightError,
     NonPositiveMeasureError,
@@ -72,14 +73,26 @@ class WeightedGraph:
     def from_arrays(cls, vertices: Sequence, i, j, w) -> "WeightedGraph":
         """Graph whose k-th edge is (vertices[i[k]], vertices[j[k]], w[k]).
 
+        ``i``, ``j`` and ``w`` are one-dimensional and of one length, and
+        ``i`` and ``j`` of an integer dtype (an ``InputError`` otherwise).
         Weights are symmetrized; an index outside ``range(len(vertices))``,
         positive self-loops, negative or non-finite weights and conflicting
         duplicates are rejected, the first bad edge in input order raising.
         """
         verts = tuple(map(str, vertices))
+        arrays = [np.asarray(a) for a in (i, j, w)]
+        shapes = [a.shape for a in arrays]
+        if any(len(shape) != 1 for shape in shapes) or len(set(shapes)) > 1:
+            raise InputError(f"edge arrays i, j and w must be one-dimensional and of one "
+                             f"length, got shapes {shapes[0]}, {shapes[1]} and {shapes[2]}",
+                             shapes=shapes)
+        for name, a in zip("ij", arrays):
+            if a.size and a.dtype.kind not in "iu":
+                raise InputError(f"edge index array {name} must have an integer dtype, got "
+                                 f"{a.dtype}", array=name, dtype=str(a.dtype))
         g = cls.__new__(cls)
-        g._build(verts, _vertex_index(verts), np.asarray(i, dtype=np.intp),
-                 np.asarray(j, dtype=np.intp), np.asarray(w, dtype=float), verts)
+        g._build(verts, _vertex_index(verts), arrays[0].astype(np.intp, copy=False),
+                 arrays[1].astype(np.intp, copy=False), arrays[2].astype(float, copy=False), verts)
         return g
 
     def _build(self, verts: tuple, index: dict, i: np.ndarray, j: np.ndarray, w: np.ndarray,

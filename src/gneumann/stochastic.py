@@ -12,7 +12,10 @@ across reruns and machines.  Draw k of path i is word k mod 4 of the
 Philox4x64-10 block with counter (k // 4 + 1, 0, 0, 0) and key
 (seed mod 2^64, i) (Salmon et al., SC'11), mapped to (w >> 11) * 2^-53:
 the stream of ``np.random.Philox(key=(seed, i)).random()``.  Draws 2j
-and 2j + 1 give the j-th holding time -log1p(-u)/rate and the j-th jump.
+and 2j + 1 give the j-th holding time -log1p(-u)/rate and the j-th jump:
+the first entry of the row's cumulative weight table above u, the entry
+a linear scan reaches, which a guide table per row finds in O(1)
+expected comparisons (Chen & Asau 1974; Devroye 1986, chapter III).
 The Monte Carlo estimator advances all paths of a batch together and
 computes these draws in numpy (``_uniforms``).  The CLI's
 ``--dump-paths`` records each hold in that same walk, so one walk gives
@@ -69,7 +72,8 @@ __all__ = [
 ]
 
 _BLOCK = 1024  # uniforms per refill of the single-path walker
-_BATCH = 4096  # paths per _walk_paths call, and draw blocks per refill across them
+_BATCH = 4096  # paths per _walk_paths call
+_REFILL = 8192  # draw blocks per refill of _walk_paths, across its live paths
 _MAX_BLOCKS = 64  # draw blocks per path and refill, when few paths are live
 # expected holds from which a job runs on a pool: starting, using and
 # closing one costs 20-35 ms, the time of about 6e4 holds of _walk_paths
@@ -128,39 +132,64 @@ class MCEstimate:
 
 class _ChainParams:
     """Per-vertex jump data in the graph's CSR layout: the holding rate of
-    each vertex and, for each row, the cumulative jump probabilities."""
+    each vertex and, for each row, the cumulative jump probabilities
+    ``cum`` with a guide table over them (Chen & Asau 1974).
+
+    ``cum`` is ``np.cumsum`` of each row's weights divided by its degree,
+    with 1.0 at each row end, the same bits as a per-row cumsum: pass k
+    adds entry k of every row longer than k.  Row i has ``nb[i]`` =
+    2^ceil(log2 len_i) buckets, stored from ``gptr[i]`` in ``guide``;
+    bucket b holds the first entry of the row whose ``cum`` exceeds
+    b / nb[i].  ``b / nb[i]`` and ``u * nb[i]`` are exact, so the bucket of
+    u starts at or before the entry the linear scan reaches, and on average
+    at most len_i / nb[i] <= 1 entries lie between them."""
 
     def __init__(self, g: WeightedGraph, m: Measure):
-        deg = g.deg.tolist()
         self.rates = g.deg / m._at(g.vertices)
+        self.zero_rate = not bool((self.rates > 0.0).all())
         self.indptr = g.indptr
         self.indices = g.indices
-        self.cum = np.zeros(len(g.data))
-        for i, d in enumerate(deg):
-            lo, hi = g.indptr[i], g.indptr[i + 1]
-            if d > 0:
-                self.cum[lo:hi] = np.cumsum(g.data[lo:hi]) / d
-                self.cum[hi - 1] = 1.0  # guard against roundoff undershoot
-        # bisection steps that resolve the longest row
-        self.depth = int(np.diff(g.indptr).max(initial=0)).bit_length()
+        lens = g.indptr[1:] - g.indptr[:-1]
+        # rows longer than k, for each k, and their starts, longest first
+        longer = len(lens) - np.bincount(lens).cumsum()
+        starts = g.indptr[(-lens).argsort()]
+        cum = g.data.astype(float)  # a copy
+        for k in range(1, len(longer) - 1):
+            at = starts[:longer[k]] + k
+            cum[at] += cum[at - 1]
+        cum /= g.deg[g.rows]
+        cum[g.indptr[1:][lens > 0] - 1] = 1.0  # guard against roundoff undershoot
+        self.cum = cum
+        self.nb = 1 << np.frexp(np.maximum(lens, 1) - 1)[1].astype(np.intp)
+        self.gptr = np.concatenate(([0], self.nb.cumsum()))
+        # bucket b's guide is the row start plus the count of the row's
+        # entries with cum <= b / nb, that is ceil(cum * nb) <= b: each entry
+        # is counted at that bucket and summed from there on.  One counted at
+        # bucket nb (a row end, or a sum that rounds above 1.0) lands on the
+        # next row's first bucket and adds to that row's start
+        nb = self.nb[g.rows]
+        first = np.fmin(np.ceil(cum * nb), nb).astype(np.intp)
+        self.guide = np.bincount(self.gptr[g.rows] + first,
+                                 minlength=self.gptr[-1] + 1)[:-1].cumsum()
 
     @functools.cached_property
-    def lists(self) -> tuple[list, list, list, list]:
-        """Rates, indptr, indices and cum as lists, for the scalar walker."""
-        return self.rates.tolist(), self.indptr.tolist(), self.indices.tolist(), self.cum.tolist()
+    def lists(self) -> tuple[list, ...]:
+        """Rates, indices, cum, guide, gptr and nb as lists, for the scalar
+        walker."""
+        return tuple(a.tolist() for a in
+                     (self.rates, self.indices, self.cum, self.guide, self.gptr, self.nb))
 
     def jump(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Next state of each path at x: the first entry of row x whose
-        cumulative probability exceeds u, found by bisection.  Row ends
-        hold 1.0 > u, so this is the entry the linear scan would reach."""
-        lo = self.indptr[x]
-        hi = self.indptr[x + 1] - 1
-        for _ in range(self.depth):
-            mid = (lo + hi) >> 1
-            right = (u >= self.cum[mid]) & (lo < hi)
-            lo = np.where(right, mid + 1, lo)
-            hi = np.where(right, hi, mid)
-        return self.indices[lo]
+        cumulative probability exceeds u, found from u's guide bucket.  Row
+        ends hold 1.0 > u, so this is the entry the linear scan would
+        reach."""
+        j = self.guide[self.gptr[x] + (u * self.nb[x]).astype(np.intp)]
+        while True:
+            step = u >= self.cum[j]
+            if not step.any():
+                return self.indices[j]
+            j += step
 
 
 _LO32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
@@ -213,11 +242,12 @@ def _walk(chain: _ChainParams, i0: int, T: float, rng: np.random.Generator):
     """Simulate one trajectory until the accumulated time reaches T.
 
     Draw order is fixed: one uniform per waiting time (inverse CDF
-    -log1p(-u)/rate), then one uniform per jump (linear scan of the
-    cumulative table), so the stream consumption is reproducible.
-    Returns the visited states and the holding times.
+    -log1p(-u)/rate), then one uniform per jump (the first entry of the
+    cumulative table above it, scanned from its guide bucket), so the
+    stream consumption is reproducible.  Returns the visited states and
+    the holding times.
     """
-    rates, indptr, indices, cum = chain.lists
+    rates, indices, cum, guide, gptr, nb = chain.lists
     buf = rng.random(_BLOCK)
     ptr = 0
     t = 0.0
@@ -241,7 +271,7 @@ def _walk(chain: _ChainParams, i0: int, T: float, rng: np.random.Generator):
             ptr = 0
         u2 = buf[ptr]
         ptr += 1
-        j = indptr[x]
+        j = guide[gptr[x] + int(u2 * nb[x])]
         while u2 >= cum[j]:
             j += 1
         x = indices[j]
@@ -256,9 +286,12 @@ def _walk_paths(chain: _ChainParams, i0: int, T: float, seed: int,
     Each step moves every live path by one hold and one jump, with the
     draws and the arithmetic of ``_walk``, so path i's value is bit for
     bit the one ``_walk`` on stream (seed, i) gives.  Live paths have all
-    used 2 * step draws, so one ``_uniforms`` call refills them together.
-    With ``record``, each refill appends one array triple: the positions
-    in ``paths`` of the paths its steps moved, their states and holds (the
+    used 2 * step draws, so one ``_uniforms`` call refills them together,
+    about ``_REFILL`` draw blocks across them.  Each refill is laid out step
+    by step, a row of hold and a row of jump draws per step, and a step
+    takes log1p of the draws of its live paths only.  With
+    ``record``, each refill appends one array triple: the positions in
+    ``paths`` of the paths its steps moved, their states and holds (the
     last as drawn, as ``SamplePath`` keeps it), which ``_recorded_holds``
     orders by path.
     """
@@ -270,18 +303,23 @@ def _walk_paths(chain: _ChainParams, i0: int, T: float, seed: int,
     acc = np.zeros(len(paths))
     step = 0
     while live.size:
-        nblocks = min(_MAX_BLOCKS, max(1, _BATCH // live.size))
-        u = _uniforms(seed, paths[live], step // 2, nblocks)
-        # libm, not the numpy ufunc, whose SIMD loops vary with the CPU
-        neglog = np.fromiter(map(math.log1p, (-u[:, 0::2]).ravel().tolist()),
-                             dtype=float, count=u.size // 2)
-        neglog = -neglog.reshape(live.size, 2 * nblocks)
+        nblocks = min(_MAX_BLOCKS, max(1, _REFILL // live.size))
+        u = _uniforms(seed, paths[live], step // 2, nblocks).T
+        minus_u = np.negative(u[0::2], order="C")  # of the hold draws
+        ujump = np.ascontiguousarray(u[1::2])
         rows = np.arange(live.size)
         steps = [] if record is not None else None
         for j in range(2 * nblocks):
+            # libm, not the numpy ufunc, whose SIMD loops vary with the CPU,
+            # and only for the paths still live
+            neglog = -np.fromiter(map(math.log1p, minus_u[j][rows].tolist()), dtype=float,
+                                  count=len(rows))
             rate = chain.rates[x]
-            hold = np.full(len(x), math.inf)
-            np.divide(neglog[rows, j], rate, out=hold, where=rate > 0.0)
+            if chain.zero_rate:
+                hold = np.full(len(x), math.inf)
+                np.divide(neglog, rate, out=hold, where=rate > 0.0)
+            else:
+                hold = neglog / rate
             if steps is not None:
                 steps.append((live, x, hold))
             w = weights[x]
@@ -296,7 +334,7 @@ def _walk_paths(chain: _ChainParams, i0: int, T: float, seed: int,
                 live, rows, x, t, acc = live[going], rows[going], x[going], t[going], acc[going]
                 if not live.size:
                     break
-            x = chain.jump(x, u[rows, 2 * j + 1])
+            x = chain.jump(x, ujump[j][rows])
         if steps is not None:
             record.append(tuple(map(np.concatenate, zip(*steps))))
         step += 2 * nblocks

@@ -8,6 +8,7 @@ from gneumann.errors import (
     AsymmetricDuplicateError,
     DisconnectedClosureError,
     EmptyInteriorError,
+    InputError,
     InteriorIsWholeGraphError,
     NegativeWeightError,
     SelfLoopError,
@@ -73,6 +74,23 @@ def test_from_arrays_rejects_an_index_outside_the_vertices(i, j, w, bad):
         gn.build_graph(["a", "b", "c"], arrays=(np.array(i), np.array(j), np.array(w)))
     if bad is not None:
         assert e.value.context == {"vertex": bad}
+
+
+@pytest.mark.parametrize("i, j, w, cause", [
+    ([0, 1], [1], [1.0, 1.0], "of one length"),  # j is short
+    ([0], [1], [1.0, 2.0], "of one length"),  # w is long
+    ([[0]], [[1]], [[1.0]], "one-dimensional"),
+    ([0.5], [1], [1.0], "integer dtype"),  # not truncated to the edge (a, b)
+    ([0], [1.0], [1.0], "integer dtype"),
+])
+def test_from_arrays_rejects_malformed_edge_arrays(i, j, w, cause):
+    with pytest.raises(InputError, match=cause):
+        gn.WeightedGraph.from_arrays(["a", "b", "c"], i, j, w)
+
+
+def test_from_arrays_accepts_empty_edge_lists():
+    g = gn.WeightedGraph.from_arrays(["a", "b"], [], [], [])
+    assert g.n == 2 and list(g.edges()) == []
 
 
 def test_zero_weight_edges_are_dropped():

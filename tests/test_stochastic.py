@@ -323,6 +323,103 @@ def test_jump_bisection_equals_linear_scan_at_ties():
         assert got.tolist() == scan
 
 
+def _hub_graph(seed):
+    """A random closure's graph plus a hub joined to every vertex and to 40
+    leaves, and 3 isolated vertices (degree-0 rows), every weight
+    10^U(-300, 3)."""
+    rng = np.random.default_rng(seed)
+    g = random_closure(rng, n_min=3, n_max=10).graph
+    leaves = [f"leaf{k}" for k in range(40)]
+    edges = [(x, y) for x, y, _ in g.edges()] + [("hub", y) for y in (*g.vertices, *leaves)]
+    weights = 10.0 ** rng.uniform(-300, 3, len(edges))
+    vertices = ["hub", *g.vertices, *leaves, "lone0", "lone1", "lone2"]
+    rng.shuffle(vertices)
+    return gn.build_graph(vertices, [(x, y, w) for (x, y), w in zip(edges, weights)])
+
+
+@settings(max_examples=25, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_cumulative_table_is_the_per_row_cumsum(seed):
+    g = _hub_graph(seed)
+    chain = stochastic._ChainParams(g, gn.Measure.uniform(g.vertices))
+    ref = np.zeros(len(g.data))
+    for x in range(g.n):
+        lo, hi = g.indptr[x], g.indptr[x + 1]
+        if hi > lo:
+            ref[lo:hi] = np.cumsum(g.data[lo:hi]) / g.deg[x]
+            ref[hi - 1] = 1.0
+    assert np.array_equal(chain.cum.view(np.uint64), ref.view(np.uint64))
+
+
+@settings(max_examples=25, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_guide_table_jump_equals_linear_scan(seed):
+    # u at 0, just below 1, at each cumulative entry and each bucket edge
+    # b / B, and just below each: where the bucket and the scan could part
+    g = _hub_graph(seed)
+    chain = stochastic._ChainParams(g, gn.Measure.uniform(g.vertices))
+    for x in np.flatnonzero(np.diff(g.indptr)):
+        lo, hi = g.indptr[x], g.indptr[x + 1]
+        row = chain.cum[lo:hi]
+        nb = 1 << int(hi - lo - 1).bit_length()
+        edges = np.concatenate([row, np.arange(nb) / nb])
+        us = np.unique(np.concatenate([[0.0, np.nextafter(1.0, 0.0)], edges,
+                                       np.nextafter(edges, 0.0)]))
+        us = us[(us >= 0.0) & (us < 1.0)]
+        got = chain.jump(np.full(us.size, x), us)
+        scan = [chain.indices[lo + np.argmax(u < row)] for u in us]
+        assert got.tolist() == scan
+
+
+def _linear_scan_walk(chain, i0, T, rng):
+    """``_walk`` with each jump scanned from the start of its row."""
+    buf, ptr, t, x = rng.random(stochastic._BLOCK), 0, 0.0, i0
+    states, holds = [i0], []
+
+    def draw():
+        nonlocal buf, ptr
+        if ptr >= stochastic._BLOCK:
+            buf, ptr = rng.random(stochastic._BLOCK), 0
+        ptr += 1
+        return buf[ptr - 1]
+
+    while True:
+        holds.append(-math.log1p(-draw()) / chain.rates[x])
+        t += holds[-1]
+        if t >= T:
+            return states, holds
+        u, j = draw(), chain.indptr[x]
+        while u >= chain.cum[j]:
+            j += 1
+        x = int(chain.indices[j])
+        states.append(x)
+
+
+def test_walkers_on_a_star_with_uneven_weights():
+    # 2000 leaves whose weights span 1e-6 .. 1e3: every jump from the hub
+    # starts at a guide bucket, and must land where the scan from the row
+    # start does, in both walkers
+    rng = np.random.default_rng(8)
+    leaves = [str(k) for k in range(2000)]
+    g = gn.build_graph(["h", *leaves], [("h", y, w) for y, w in
+                                         zip(leaves, 10.0 ** rng.uniform(-6, 3, 2000))])
+    m = gn.Measure({v: float(x) for v, x in zip(g.vertices, rng.uniform(0.5, 2.0, g.n))})
+    chain = stochastic._ChainParams(g, m)
+    weights = np.zeros(g.n)
+    weights[rng.choice(g.n, 300, replace=False)] = rng.standard_normal(300)
+    h, T, seed = g.index("h"), 0.5, 23
+    visits = 0
+    for index in range(20):
+        rng, ref_rng = (stochastic._stream_rng(seed, index) for _ in range(2))
+        states, holds = stochastic._walk(chain, h, T, rng)
+        assert (states, holds) == _linear_scan_walk(chain, h, T, ref_rng)
+        visits += len(states)
+    assert visits > 1000  # half of them at the hub
+    ref = np.array([_scalar_integral(chain, h, T, seed, i, weights.tolist()) for i in range(300)])
+    vals = stochastic._walk_paths(chain, h, T, seed, np.arange(300), weights)
+    assert np.array_equal(vals.view(np.uint64), ref.view(np.uint64))
+
+
 def test_horizon_at_an_exact_jump_time():
     # T equal to a float partial sum t + h at which (t + h) - t != h: the
     # last segment must be charged T - t, as in the scalar walker
