@@ -41,6 +41,7 @@ from .forms import (
 )
 from .graphs import (
     Measure,
+    NeumannProblem,
     SubgraphClosure,
     WeightedGraph,
     build_graph,

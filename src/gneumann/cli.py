@@ -20,12 +20,11 @@ from pathlib import Path
 
 from . import fileio
 from .errors import GneumannError, InputError
-from .graphs import closure_subgraph
+from .graphs import NeumannProblem, closure_subgraph
 from .solver import (
     BoundaryData,
     check_compatibility,
     is_compatible,
-    solve_boundary_measure,
     solve_direct,
     solve_green,
     solve_heat_integral,
@@ -125,37 +124,23 @@ def _load_instance(config: argparse.Namespace):
     return g, m
 
 
-def _problem_mode(config: argparse.Namespace) -> str:
-    has_interior = bool(config.interior)
-    has_measure_boundary = bool(config.boundary) or bool(config.mu)
-    if has_interior and has_measure_boundary:
-        raise InputError("give either --interior or --boundary with --mu, not both")
-    if has_interior:
-        return "vertex-boundary"
-    if bool(config.boundary) and bool(config.mu):
-        return "boundary-measure"
-    raise InputError("need --interior, or --boundary together with --mu")
-
-
 def _load_problem(config: argparse.Namespace):
-    """Read the instance and the problem (boundary, mu), in either mode.
+    """Read the instance and the problem, as ``(mode, problem)``.
 
-    The vertex-boundary problem is the boundary-measure problem on the
-    closure graph with mu = m on the vertex boundary, so both modes
-    return ``(mode, sub, graph, m, boundary, mu)``: ``sub`` is the closure
-    for ``--interior`` and None for ``--boundary``/``--mu``, where the
-    graph is the input graph and only ``solve --method direct`` applies.
+    ``--interior`` gives the closure ("vertex-boundary"), the problem with
+    mu = m on the vertex boundary; ``--boundary`` with ``--mu`` gives the
+    ``NeumannProblem`` on the input graph ("boundary-measure").  Every
+    solve route and the estimator take either.
     """
     g, m = _load_instance(config)
-    mode = _problem_mode(config)
-    if mode == "vertex-boundary":
-        sub = closure_subgraph(g, fileio.read_vertex_set(config.interior), m)
-        return mode, sub, sub.graph, sub.measure, sub.boundary, sub.boundary_measure()
+    if config.interior and (config.boundary or config.mu):
+        raise InputError("give either --interior or --boundary with --mu, not both")
+    if config.interior:
+        return "vertex-boundary", closure_subgraph(g, fileio.read_vertex_set(config.interior), m)
+    if not (config.boundary and config.mu):
+        raise InputError("need --interior, or --boundary together with --mu")
     boundary = fileio.read_vertex_set(config.boundary)
-    mu = fileio.read_measure(config.mu)
-    if config.command == "solve" and config.method != "direct":
-        raise InputError("boundary-measure mode supports only --method direct")
-    return mode, None, g, m, boundary, mu
+    return "boundary-measure", NeumannProblem(g, boundary, m, fileio.read_measure(config.mu))
 
 
 def _maybe_project(config: argparse.Namespace, phi: BoundaryData):
@@ -178,25 +163,23 @@ def _out_dir(config: argparse.Namespace) -> Path:
 
 
 def _cmd_solve(config: argparse.Namespace) -> int:
-    mode, sub, g, m, boundary, mu = _load_problem(config)
+    mode, problem = _load_problem(config)
     _require(config, "phi")
-    phi = BoundaryData(values=fileio.read_vertex_function(config.phi), measure=mu)
+    phi = BoundaryData.for_closure(problem, fileio.read_vertex_function(config.phi))
     phi, shift, warning = _maybe_project(config, phi)
     summary: dict = {"mode": mode}
 
-    if config.method != "direct":  # the loader admits these only on a closure
-        spec = eigendecompose(g, m)
-        if config.method == "green":
-            sol = solve_green(sub, phi, spec)
-        else:
-            sol = solve_heat_integral(sub, phi, spec, tol=config.tol)
-    elif sub is not None:
-        sol = solve_direct(sub, phi)
+    if config.method == "direct":
+        sol = solve_direct(problem, phi)
     else:
-        sol = solve_boundary_measure(g, boundary, m, mu, phi)
+        spec = eigendecompose(problem.graph, problem.measure)
+        if config.method == "green":
+            sol = solve_green(problem, phi, spec)
+        else:
+            sol = solve_heat_integral(problem, phi, spec, tol=config.tol)
 
     out = _out_dir(config)
-    fileio.write_solution_csv(sol.u, boundary, g.vertices, out / "solution.csv")
+    fileio.write_solution_csv(sol.u, problem.boundary, problem.graph.vertices, out / "solution.csv")
     summary.update({
         "method": sol.method,
         "residual_interior": sol.residual_interior,
@@ -231,7 +214,8 @@ def _path_rows(vertices):
 
 
 def _cmd_simulate(config: argparse.Namespace) -> int:
-    mode, _, g, m, boundary, mu = _load_problem(config)
+    mode, problem = _load_problem(config)
+    g, boundary, m, mu = problem.graph, problem.boundary, problem.measure, problem.boundary_measure()
     _require(config, "start", "T")
     if config.N < 2:
         raise InputError(f"simulation needs N >= 2, got {config.N}")

@@ -1,4 +1,4 @@
-"""Finite weighted graphs, measures, and the vertex-boundary closure.
+"""Finite weighted graphs, measures, and the Neumann problems on them.
 
 A graph is a symmetric nonnegative edge-weight function with vanishing
 diagonal over an ordered finite vertex set.  Vertices carry opaque string
@@ -10,8 +10,10 @@ beside the degree vector; vertex strings appear only in ``vertices``,
 closure are mask operations on these arrays, and connectivity is a
 depth-first search over their rows.  Zero-weight entries are dropped
 (zero weight means "no edge").  A measure, like a vertex function, is a
-vertex tuple beside a read-only float array.  All types are immutable
-after construction: their arrays are read-only.
+vertex tuple beside a read-only float array.  A Neumann problem is a
+graph with a boundary set carrying its own measure mu; the closure of an
+interior set is the one whose mu is m on its vertex boundary.  All types
+are immutable after construction: their arrays are read-only.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .errors import (
 __all__ = [
     "WeightedGraph",
     "Measure",
+    "NeumannProblem",
     "SubgraphClosure",
     "build_graph",
     "is_connected",
@@ -347,8 +350,27 @@ class Measure(_VertexValues):
         return f"Measure(n={len(self.vertices)}, total={self.total:g})"
 
 
-class SubgraphClosure:
-    """Interior set, its vertex boundary, and the induced closure graph.
+class NeumannProblem:
+    """The Neumann problem on ``graph`` with measure ``measure`` and a
+    designated ``boundary`` set carrying its own finite measure ``mu``,
+    held unchecked: every route checks it when it solves."""
+
+    def __init__(self, graph: WeightedGraph, boundary: Sequence[str], measure: Measure,
+                 mu: Measure):
+        self.graph, self.boundary, self.measure = graph, tuple(boundary), measure
+        self._boundary_measure = mu
+
+    def boundary_measure(self) -> Measure:
+        """The measure mu the boundary carries."""
+        return self._boundary_measure
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.graph.n}, boundary={len(self.boundary)})"
+
+
+class SubgraphClosure(NeumannProblem):
+    """Interior set, its vertex boundary, and the induced closure graph,
+    as the Neumann problem with mu = m on the vertex boundary.
 
     The closure graph keeps every weight with at least one endpoint in the
     interior and zeroes all boundary-boundary weights.  Construction
@@ -359,10 +381,10 @@ class SubgraphClosure:
 
     def __init__(self, interior: Sequence[str], boundary: Sequence[str],
                  graph: WeightedGraph, measure: Measure):
-        self.interior, self.boundary = tuple(interior), tuple(boundary)
-        self.graph, self.measure = graph, measure
+        boundary = tuple(boundary)
+        super().__init__(graph, boundary, measure, measure.restrict(boundary))
+        self.interior = tuple(interior)
         self.boundary_set = frozenset(self.boundary)
-        self._boundary_measure = measure.restrict(self.boundary)
         self.measure_vector = measure.to_vector(graph.vertices)
         self.boundary_index = np.array([graph.index(y) for y in self.boundary], dtype=np.intp)
         for a in (self.measure_vector, self.boundary_index):
@@ -371,13 +393,6 @@ class SubgraphClosure:
     @property
     def closure(self) -> tuple[str, ...]:
         return self.graph.vertices
-
-    def boundary_measure(self) -> Measure:
-        """The ambient measure restricted to the boundary."""
-        return self._boundary_measure
-
-    def __repr__(self):
-        return f"SubgraphClosure(interior={len(self.interior)}, boundary={len(self.boundary)})"
 
 
 def build_graph(vertices: Sequence, edges: Iterable[tuple] = (), *,

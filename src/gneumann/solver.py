@@ -1,19 +1,18 @@
-"""Neumann problem solvers on subgraph closures.
+"""Neumann problem solvers.
 
-The problem: find u with vanishing Laplacian on the interior whose
-boundary normal derivative matches prescribed data phi.  Solvable exactly
-when phi is centered against the boundary measure; the solution is unique
-once centered in the ambient measure.
+The problem (``graphs.NeumannProblem``): on a graph with a designated
+boundary set carrying its own finite measure mu, find u with vanishing
+Laplacian off the boundary and m * (Laplacian u) = phi * mu on it.
+Solvable exactly when phi is centered against mu; the solution is unique
+once centered in the ambient measure m.  The vertex-boundary problem of
+a closure (``SubgraphClosure``) is its case mu = m on the vertex boundary.
 
-Three analytic routes are provided (direct augmented solve, Green-kernel
-summation, truncated heat-semigroup time integral) plus a variant where
-the boundary is any designated vertex set carrying its own finite measure
-mu.  The variant is the core: the direct vertex-boundary route is the
-boundary-measure solve on the closure graph with mu = m restricted to
-the vertex boundary, and one problem check and one residual routine
-serve every route and ``verify_solution``.  The residuals apply L through
-the CSR arrays, O(nnz); only the direct LU is dense (numpy's, filled from them).
-All routes return the same centered solution up to numerical tolerance,
+Three analytic routes (direct augmented solve, Green-kernel summation,
+truncated heat-semigroup time integral) take either problem, and one
+problem check and one residual routine serve every route and
+``verify_solution``.  The residuals apply L through the CSR arrays,
+O(nnz); only the direct LU is dense (numpy's, filled from them).  All
+routes return the same centered solution up to numerical tolerance,
 which the test suites exploit as a cross-check.
 """
 
@@ -32,7 +31,7 @@ from .errors import (
     NonpositiveToleranceError,
 )
 from .forms import VertexFunction, _as_function, _laplacian
-from .graphs import Measure, SubgraphClosure, WeightedGraph, is_connected
+from .graphs import Measure, NeumannProblem, WeightedGraph, is_connected
 from .spectral import (
     Spectrum,
     check_spectrum_matches,
@@ -79,8 +78,8 @@ class BoundaryData:
             )
 
     @classmethod
-    def for_closure(cls, sub: SubgraphClosure, values) -> "BoundaryData":
-        """Wrap plain boundary values with the closure's boundary measure."""
+    def for_closure(cls, sub: NeumannProblem, values) -> "BoundaryData":
+        """Wrap plain boundary values with the problem's boundary measure."""
         return cls(values=_as_function(values), measure=sub.boundary_measure())
 
     def project_centered(self) -> tuple["BoundaryData", float]:
@@ -203,8 +202,9 @@ def _finish(problem: tuple, uvec, method, horizon=None, slack=0.0) -> NeumannSol
     |L| |u|, which bounds the rounding of the CSR row sum
     sum_y w(x,y) (u(x) - u(y)): each term passes through at most row length
     + 1 roundings of eps / 2, and |u(x) - u(y)| <= |u(x)| + |u(y)|.
-    ``slack`` is the residual a route admits by construction (the heat
-    route's truncated tail).  A row beyond both raises
+    ``slack`` is the residual Lu / m - f a route admits by construction
+    (the heat route's truncated tail), so a row divided by w admits
+    ``slack * m / w``.  A row beyond both raises
     ``IllConditionedError``, as does a non-finite u, residual or tolerance.
     """
     g, mv, bidx, flux, muv = problem
@@ -213,7 +213,7 @@ def _finish(problem: tuple, uvec, method, horizon=None, slack=0.0) -> NeumannSol
     row_abs = g.deg * au + np.bincount(g.rows, weights=g.data * au[g.indices], minlength=g.n)
     floor = (np.diff(g.indptr) + 2) * np.finfo(float).eps * row_abs / w
     scale = max(1.0, float(np.max(np.abs(flux) * np.maximum(1.0, muv / mv[bidx]))))
-    tol = np.maximum(RESIDUAL_RTOL * scale, floor) + slack
+    tol = np.maximum(RESIDUAL_RTOL * scale, floor) + slack * (mv / w)
     finite = np.isfinite(uvec) & np.isfinite(rel) & np.isfinite(tol)
     k = int(np.argmax(rel / tol)) if finite.all() else int(np.argmin(finite))
     if not (finite[k] and rel[k] <= tol[k] and math.isfinite(centering)):
@@ -233,15 +233,15 @@ def _finish(problem: tuple, uvec, method, horizon=None, slack=0.0) -> NeumannSol
     )
 
 
-def solve_direct(sub: SubgraphClosure, phi) -> NeumannSolution:
-    """Direct route: the boundary-measure solve on the closure graph with
-    mu the ambient measure restricted to the vertex boundary."""
+def solve_direct(sub: NeumannProblem, phi) -> NeumannSolution:
+    """Direct route: ``solve_boundary_measure`` on the problem's graph,
+    boundary and measures."""
     return solve_boundary_measure(sub.graph, sub.boundary, sub.measure, sub.boundary_measure(), phi)
 
 
-def solve_green(sub: SubgraphClosure, phi, spec: Spectrum) -> NeumannSolution:
+def solve_green(sub: NeumannProblem, phi, spec: Spectrum) -> NeumannSolution:
     """Green-kernel route: u(x) = sum over boundary y of
-    phi(y) g(x,y) m(y); centered automatically since the kernel rows
+    phi(y) g(x,y) mu(y); centered automatically since the kernel rows
     integrate to zero.  The kernel's spectral sum is taken mode by mode
     against the boundary load, O(n |B|) work with no n x n kernel formed."""
     problem = _problem(sub.graph, sub.boundary, sub.measure, sub.boundary_measure(), phi)
@@ -252,12 +252,12 @@ def solve_green(sub: SubgraphClosure, phi, spec: Spectrum) -> NeumannSolution:
     return _finish(problem, uvec, "green")
 
 
-def solve_heat_integral(sub: SubgraphClosure, phi, spec: Spectrum, tol: float) -> NeumannSolution:
+def solve_heat_integral(sub: NeumannProblem, phi, spec: Spectrum, tol: float) -> NeumannSolution:
     """Heat-semigroup route: the time integral of the heat semigroup
     applied to the boundary data, up to a horizon T, then recentered.
 
     T is chosen from the mixing bound so the neglected tail is below
-    ``tol`` in sup norm.
+    ``tol`` in sup norm.  The source is phi * mu / m on the boundary.
     """
     problem = _problem(sub.graph, sub.boundary, sub.measure, sub.boundary_measure(), phi)
     check_spectrum_matches(spec, sub.graph, sub.measure)
@@ -271,13 +271,13 @@ def solve_heat_integral(sub: SubgraphClosure, phi, spec: Spectrum, tol: float) -
 
     c1, c2 = mixing_constants(spec, 1e-9)
     # tail of the time integral beyond T is bounded by c1 * mass * e^{-c2 T} / c2
-    T = math.log(c1 * mass / (c2 * tol)) / c2
-    T = max(T, 1e-6)
+    T = max(math.log(c1 * mass / (c2 * tol)) / c2, 1e-6)
 
-    # phi extended by zero to the closure, as dictated by the boundary sum
+    # phi * mu / m extended by zero, as dictated by the boundary sum; the
+    # ratio is 1.0 where mu = m, so a closure's source is phi bit for bit
     fvec = np.zeros(g.n)
-    fvec[bidx] = flux
-    uvec = heat_time_integral(spec, fvec, T).to_vector(sub.closure)
+    fvec[bidx] = flux * (muv / mv[bidx])
+    uvec = heat_time_integral(spec, fvec, T).to_vector(g.vertices)
     uvec -= (uvec @ mv) / sub.measure.total
     # the residual Lu / m - f is the semigroup at T applied to f, which the
     # mixing bound caps at c1 * mass * e^{-c2 T}
@@ -292,10 +292,8 @@ def solve_boundary_measure(g: WeightedGraph, boundary, m: Measure, mu: Measure, 
     The solution is the centered u with vanishing Laplacian off the
     boundary and m(y) * (Laplacian u)(y) = phi(y) mu(y) on it, i.e. the
     weak identity Q(u, v) = sum phi v dmu specialized to indicators.
-    Compatibility is centering against mu.  The vertex-boundary problem
-    of a closure is the case of the closure graph with mu the ambient
-    measure restricted to the vertex boundary, which is how
-    ``solve_direct`` calls it.  The dense LU is numpy's (LAPACK
+    Compatibility is centering against mu.  ``solve_direct`` calls it
+    with a ``NeumannProblem``'s parts.  The dense LU is numpy's (LAPACK
     ``dgesv``); the residual gate judges a near-singular system.
     """
     problem = _problem(g, boundary, m, mu, phi)
@@ -315,16 +313,15 @@ def solve_boundary_measure(g: WeightedGraph, boundary, m: Measure, mu: Measure, 
     return _finish(problem, uvec, "direct")
 
 
-def verify_solution(sub: SubgraphClosure, sol: NeumannSolution, phi, tol: float = 1e-9) -> SolutionReport:
+def verify_solution(sub: NeumannProblem, sol: NeumannSolution, phi, tol: float = 1e-9) -> SolutionReport:
     """Recompute the residuals of a claimed solution from scratch.
 
     Returns the interior Laplacian residual, the boundary mismatch, and
     the centering total, with a pass/fail verdict against ``tol``; data
     that is not centered gets a report too.
     """
-    problem = _problem(sub.graph, sub.boundary, sub.measure, sub.boundary_measure(), phi,
-                       centered=False)
-    res_int, res_bd, centering, _, _ = _residuals(*problem, sol.u.to_vector(sub.closure))
+    problem = _problem(sub.graph, sub.boundary, sub.measure, sub.boundary_measure(), phi, False)
+    res_int, res_bd, centering, _, _ = _residuals(*problem, sol.u.to_vector(sub.graph.vertices))
     passed = res_int <= tol and res_bd <= tol and abs(centering) <= tol * max(1.0, sub.measure.total)
     return SolutionReport(
         residual_interior=res_int,

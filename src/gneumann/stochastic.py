@@ -55,7 +55,7 @@ from .errors import (
     NonpositiveHorizonError,
     UnknownVertexError,
 )
-from .graphs import Measure, SubgraphClosure, WeightedGraph
+from .graphs import Measure, NeumannProblem, WeightedGraph
 from .solver import _boundary_values
 
 __all__ = [
@@ -494,8 +494,8 @@ def sample_path_graph(g: WeightedGraph, m: Measure, x0, T: float, stream) -> Sam
     return next(sample_paths(g, m, x0, T, seed, [int(index)]))
 
 
-def sample_path(sub: SubgraphClosure, x0, T: float, stream) -> SamplePath:
-    """Simulate the chain on the closure graph; see ``sample_path_graph``."""
+def sample_path(sub: NeumannProblem, x0, T: float, stream) -> SamplePath:
+    """Simulate the chain on the problem's graph; see ``sample_path_graph``."""
     return sample_path_graph(sub.graph, sub.measure, x0, T, stream)
 
 
@@ -534,14 +534,14 @@ def shift_path(path: SamplePath, t: float) -> SamplePath:
     )
 
 
-def mc_estimate(sub: SubgraphClosure, phi, x0, T: float, N: int, seed: int,
+def mc_estimate(sub: NeumannProblem, phi, x0, T: float, N: int, seed: int,
                 mu: Measure | None = None) -> MCEstimate:
     """Monte Carlo mean of the pathwise boundary integral
     integral_0^T phi(Y_s) 1{Y_s in boundary} ds over N independent paths.
 
-    With ``mu`` given, boundary occupation is reweighted by mu/m, which
-    evaluates the boundary-measure variant of the problem; the default
-    is the plain vertex-boundary local time.
+    Boundary occupation is weighted by mu/m, ``mu`` defaulting to the
+    problem's boundary measure: on a closure, the plain vertex-boundary
+    local time.
     """
     return mc_estimate_measure(
         sub.graph, sub.boundary, sub.measure,

@@ -18,7 +18,7 @@ from .forms import (
     markov_contraction,
     normal_derivative,
 )
-from .graphs import SubgraphClosure, WeightedGraph
+from .graphs import NeumannProblem, SubgraphClosure, WeightedGraph
 from .solver import (
     BoundaryData,
     solve_direct,
@@ -191,19 +191,21 @@ def check_green_identity(spec: Spectrum, tol: float = 1e-9) -> dict:
     return _result(worst <= tol, worst, tol)
 
 
-def check_cross_methods(sub: SubgraphClosure, spec: Spectrum, phi=None,
+def check_cross_methods(sub: NeumannProblem, spec: Spectrum, phi=None,
                         seed: int = 0, tol: float = 1e-8) -> dict:
-    """The direct, Green-kernel and heat-integral solutions agree in sup
-    norm."""
+    """The direct, Green-kernel and heat-integral solutions of a Neumann
+    problem agree in sup norm; without ``phi``, on random data centered
+    against the boundary measure."""
     if phi is None:
         rng = np.random.default_rng(seed)
         raw = rng.standard_normal(len(sub.boundary))
-        mb = sub.measure_vector[sub.boundary_index]
+        mb = sub.boundary_measure().to_vector(sub.boundary)
         raw -= (raw @ mb) / mb.sum()
         phi = BoundaryData.for_closure(sub, VertexFunction.from_vector(sub.boundary, raw))
-    u_direct = solve_direct(sub, phi).u.to_vector(sub.closure)
-    u_green = solve_green(sub, phi, spec).u.to_vector(sub.closure)
-    u_heat = solve_heat_integral(sub, phi, spec, tol=tol / 10).u.to_vector(sub.closure)
+    order = sub.graph.vertices
+    u_direct = solve_direct(sub, phi).u.to_vector(order)
+    u_green = solve_green(sub, phi, spec).u.to_vector(order)
+    u_heat = solve_heat_integral(sub, phi, spec, tol=tol / 10).u.to_vector(order)
     d1 = float(np.max(np.abs(u_direct - u_green)))
     d2 = float(np.max(np.abs(u_direct - u_heat)))
     d3 = float(np.max(np.abs(u_green - u_heat)))

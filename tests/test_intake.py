@@ -7,6 +7,7 @@ import json
 import pytest
 
 import gneumann as gn
+from gneumann import fileio
 from gneumann.cli import main
 from gneumann.errors import DomainMismatchError
 from gneumann.fixtures import path_graph
@@ -43,11 +44,21 @@ def test_boundary_vertex_outside_graph_same_error_in_both_commands(measure_files
     assert err["message"] == "boundary vertex '9' not in graph"
 
 
-def test_boundary_measure_mode_rejects_spectral_method(measure_files, capsys):
-    assert main(["solve", *_measure_flags(measure_files), "--method", "green"]) == 1
-    err = json.loads(capsys.readouterr().err)
-    assert err["code"] == "InputError"
-    assert "only --method direct" in err["message"]
+def _solution(d) -> dict:
+    return fileio.read_solution_csv(d / "out" / "solution.csv")[0].values
+
+
+@pytest.mark.parametrize("method", ["green", "heat-integral"])
+def test_boundary_measure_mode_solves_by_every_method(measure_files, method):
+    assert main(["solve", *_measure_flags(measure_files), "--method", "direct"]) == 0
+    direct = _solution(measure_files)
+    # the heat route's tail is below --tol, so ask for less than the agreement bound
+    assert main(["solve", *_measure_flags(measure_files), "--method", method, "--tol", "1e-13"]) == 0
+    summary = json.loads((measure_files / "out" / "summary.json").read_text())
+    assert summary["mode"] == "boundary-measure" and summary["method"] == method
+    u = _solution(measure_files)
+    assert u.keys() == direct.keys() == {"1", "2", "3"}
+    assert max(abs(u[x] - direct[x]) for x in u) <= 1e-12
 
 
 def test_mc_estimate_measure_rejects_empty_boundary():

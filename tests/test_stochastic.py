@@ -240,7 +240,8 @@ def test_occupation_density_estimates_heat_kernel(edge_closure):
     spec = gn.eigendecompose(edge_closure.graph, edge_closure.measure)
     p_true = gn.heat_kernel(spec, 0.5).entry("1", "1")
     n = 20_000
-    paths = [gn.sample_path(edge_closure, "1", 0.5, (41, i)) for i in range(n)]
+    # one jump table for all paths; each is sample_path(edge_closure, "1", 0.5, (41, i))
+    paths = list(gn.sample_paths(edge_closure.graph, edge_closure.measure, "1", 0.5, 41, range(n)))
     dens = gn.occupation_density(paths, 0.5, "1", edge_closure.measure)
     sigma = math.sqrt(p_true * (1 - p_true) / n)
     assert abs(dens - p_true) <= 3 * sigma

@@ -65,9 +65,12 @@ def _boundary_measure(tmp_path):
     (["solve", "--method", "direct"], _boundary_measure),
     (["solve", "--method", "green"], _closure),
     (["solve", "--method", "heat-integral"], _closure),
+    (["solve", "--method", "green"], _boundary_measure),
+    (["solve", "--method", "heat-integral"], _boundary_measure),
     (["verify"], _closure),
 ], ids=["simulate", "kernel", "solve-direct", "solve-direct-boundary-measure", "solve-green",
-        "solve-heat-integral", "verify"])
+        "solve-heat-integral", "solve-green-boundary-measure",
+        "solve-heat-integral-boundary-measure", "verify"])
 def test_command_runs_with_scipy_refused(tmp_path, p3_args, argv, problem):
     extra = problem(tmp_path) if problem else []
     proc = _run("refuse", argv + p3_args + extra)
