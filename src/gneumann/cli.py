@@ -215,21 +215,21 @@ def _path_rows(vertices):
 
 def _cmd_simulate(config: argparse.Namespace) -> int:
     mode, problem = _load_problem(config)
-    g, boundary, m, mu = problem.graph, problem.boundary, problem.measure, problem.boundary_measure()
+    g, m = problem.graph, problem.measure
     _require(config, "start", "T")
     if config.N < 2:
         raise InputError(f"simulation needs N >= 2, got {config.N}")
     _require(config, "phi")
-    phi = BoundaryData(values=fileio.read_vertex_function(config.phi), measure=mu)
-    args = (g, boundary, m, mu, phi, config.start, config.T, config.N, config.seed)
+    phi = BoundaryData.for_closure(problem, fileio.read_vertex_function(config.phi))
+    job = (config.start, config.T, config.N, config.seed)
     if config.dump_paths:
-        run = _estimator(*args)  # checks now; walks once the output directory exists
+        run = _estimator(problem, phi, *job)  # checks now; walks once the output directory exists
     else:
-        est = mc_estimate_measure(*args)
+        est = mc_estimate_measure(g, problem.boundary, m, problem.boundary_measure(), phi, *job)
 
     # spectral value of the same finite-horizon expectation, as reference
     spec = eigendecompose(g, m)
-    fvec = _occupation_weights(g, boundary, m, mu, phi)
+    fvec = _occupation_weights(problem, phi)
     ref = heat_time_integral(spec, fvec, config.T)[str(config.start)]
     out = _out_dir(config)
 
@@ -291,10 +291,9 @@ def _cmd_kernel(config: argparse.Namespace) -> int:
 
 
 def _cmd_verify(config: argparse.Namespace) -> int:
-    g, m = _load_instance(config)
-    _require(config, "interior")
-    interior = fileio.read_vertex_set(config.interior)
-    sub = closure_subgraph(g, interior, m)
+    mode, sub = _load_problem(config)
+    if mode != "vertex-boundary":
+        raise InputError("verify runs on a closure: give --interior, not --boundary with --mu")
     phi = None
     if config.phi:
         phi = BoundaryData.for_closure(sub, fileio.read_vertex_function(config.phi))

@@ -357,7 +357,7 @@ class NeumannProblem:
 
     def __init__(self, graph: WeightedGraph, boundary: Sequence[str], measure: Measure,
                  mu: Measure):
-        self.graph, self.boundary, self.measure = graph, tuple(boundary), measure
+        self.graph, self.boundary, self.measure = graph, tuple(map(str, boundary)), measure
         self._boundary_measure = mu
 
     def boundary_measure(self) -> Measure:

@@ -8,12 +8,13 @@ once centered in the ambient measure m.  The vertex-boundary problem of
 a closure (``SubgraphClosure``) is its case mu = m on the vertex boundary.
 
 Three analytic routes (direct augmented solve, Green-kernel summation,
-truncated heat-semigroup time integral) take either problem, and one
-problem check and one residual routine serve every route and
-``verify_solution``.  The residuals apply L through the CSR arrays,
-O(nnz); only the direct LU is dense (numpy's, filled from them).  All
-routes return the same centered solution up to numerical tolerance,
-which the test suites exploit as a cross-check.
+truncated heat-semigroup time integral) take either problem.  One
+problem check serves every route, ``verify_solution`` and the Monte
+Carlo estimator, and one residual routine the first two.  The residuals
+apply L through the CSR arrays, O(nnz); only the direct LU is dense
+(numpy's, filled from them).  All routes return the same centered
+solution up to numerical tolerance, which the test suites exploit as a
+cross-check.
 """
 
 from __future__ import annotations
@@ -150,16 +151,17 @@ def _residuals(g: WeightedGraph, mv: np.ndarray, bidx: np.ndarray, flux: np.ndar
     return float(np.max(rel[off], initial=0.0)), float(np.max(rel[bidx])), float(uvec @ mv), rel, w
 
 
-def _boundary_values(g: WeightedGraph, boundary,
-                     phi) -> tuple[tuple[str, ...], VertexFunction, np.ndarray]:
-    """The designated boundary, the data on it and its indices in g.
+def _problem(sub: NeumannProblem, phi, centered: bool = True) -> tuple:
+    """The checked problem as the arguments of ``_residuals`` before the
+    solution: (g, m, boundary indices, phi, mu), the last four as vectors.
 
-    The boundary must be a non-empty set of vertices of g, and phi (a
-    ``BoundaryData``, a ``VertexFunction`` or a mapping) must be defined
-    exactly on it.  ``_problem`` and the Monte Carlo estimator both check
-    their boundary data here.
+    The one boundary-data check of every route and of the Monte Carlo
+    estimator: the boundary must be a non-empty set of vertices of the
+    graph, phi (a ``BoundaryData``, a ``VertexFunction`` or a mapping)
+    must be defined exactly on it, a ``BoundaryData`` must carry mu, phi
+    must be finite and, unless ``centered`` is false, centered against mu.
     """
-    boundary = tuple(str(v) for v in boundary)
+    g, boundary, mu = sub.graph, sub.boundary, sub.boundary_measure()
     if not boundary:
         raise DomainMismatchError("designated boundary set is empty")
     for y in boundary:
@@ -172,24 +174,18 @@ def _boundary_values(g: WeightedGraph, boundary,
             expected=sorted(boundary),
             got=sorted(values.domain),
         )
-    return boundary, values, np.array([g.index(y) for y in boundary], dtype=np.intp)
-
-
-def _problem(g: WeightedGraph, boundary, m: Measure, mu: Measure, phi,
-             centered: bool = True) -> tuple:
-    """The checked problem as the arguments of ``_residuals`` before the
-    solution: (g, m, boundary indices, phi, mu), the last four as vectors.
-
-    The one boundary-data check of every route: ``_boundary_values``,
-    then the measure a ``BoundaryData`` carries must be mu, and, unless
-    ``centered`` is false, phi must be centered against mu.
-    """
-    boundary, values, bidx = _boundary_values(g, boundary, phi)
     if isinstance(phi, BoundaryData) and phi.measure != mu:
         raise DomainMismatchError("boundary data carries a different measure than mu")
+    flux = values.to_vector(boundary)
+    k = int(np.argmin(np.isfinite(flux)))
+    if not math.isfinite(flux[k]):
+        raise IncompatibleDataError(
+            f"boundary data must be finite, got phi({boundary[k]!r}) = {flux[k]}",
+            vertex=boundary[k], value=float(flux[k]))
     if centered:
         _require_compatible(BoundaryData(values=values, measure=mu))
-    return g, m.to_vector(g.vertices), bidx, values.to_vector(boundary), mu.to_vector(boundary)
+    bidx = np.array([g.index(y) for y in boundary], dtype=np.intp)
+    return g, sub.measure.to_vector(g.vertices), bidx, flux, mu._at(boundary)
 
 
 def _finish(problem: tuple, uvec, method, horizon=None, slack=0.0) -> NeumannSolution:
@@ -233,18 +229,12 @@ def _finish(problem: tuple, uvec, method, horizon=None, slack=0.0) -> NeumannSol
     )
 
 
-def solve_direct(sub: NeumannProblem, phi) -> NeumannSolution:
-    """Direct route: ``solve_boundary_measure`` on the problem's graph,
-    boundary and measures."""
-    return solve_boundary_measure(sub.graph, sub.boundary, sub.measure, sub.boundary_measure(), phi)
-
-
 def solve_green(sub: NeumannProblem, phi, spec: Spectrum) -> NeumannSolution:
     """Green-kernel route: u(x) = sum over boundary y of
     phi(y) g(x,y) mu(y); centered automatically since the kernel rows
     integrate to zero.  The kernel's spectral sum is taken mode by mode
     against the boundary load, O(n |B|) work with no n x n kernel formed."""
-    problem = _problem(sub.graph, sub.boundary, sub.measure, sub.boundary_measure(), phi)
+    problem = _problem(sub, phi)
     check_spectrum_matches(spec, sub.graph, sub.measure)
     _, _, bidx, flux, muv = problem
     psi = spec.basis[:, 1:]
@@ -259,7 +249,7 @@ def solve_heat_integral(sub: NeumannProblem, phi, spec: Spectrum, tol: float) ->
     T is chosen from the mixing bound so the neglected tail is below
     ``tol`` in sup norm.  The source is phi * mu / m on the boundary.
     """
-    problem = _problem(sub.graph, sub.boundary, sub.measure, sub.boundary_measure(), phi)
+    problem = _problem(sub, phi)
     check_spectrum_matches(spec, sub.graph, sub.measure)
     if not (isinstance(tol, (int, float)) and 0 < tol < math.inf):
         raise NonpositiveToleranceError(f"tolerance must be positive and finite, got {tol}")
@@ -285,22 +275,18 @@ def solve_heat_integral(sub: NeumannProblem, phi, spec: Spectrum, tol: float) ->
                    slack=c1 * mass * math.exp(-c2 * T))
 
 
-def solve_boundary_measure(g: WeightedGraph, boundary, m: Measure, mu: Measure, phi) -> NeumannSolution:
-    """Neumann problem for a designated boundary set carrying its own
-    finite measure mu, on the whole graph.
-
-    The solution is the centered u with vanishing Laplacian off the
+def solve_direct(sub: NeumannProblem, phi) -> NeumannSolution:
+    """Direct route: the centered u with vanishing Laplacian off the
     boundary and m(y) * (Laplacian u)(y) = phi(y) mu(y) on it, i.e. the
-    weak identity Q(u, v) = sum phi v dmu specialized to indicators.
-    Compatibility is centering against mu.  ``solve_direct`` calls it
-    with a ``NeumannProblem``'s parts.  The dense LU is numpy's (LAPACK
-    ``dgesv``); the residual gate judges a near-singular system.
+    weak identity Q(u, v) = sum phi v dmu specialized to indicators.  The
+    dense LU is numpy's (LAPACK ``dgesv``); the residual gate judges a
+    near-singular system.
     """
-    problem = _problem(g, boundary, m, mu, phi)
+    problem = _problem(sub, phi)
+    g, mv, bidx, flux, muv = problem
     if not is_connected(g):
         raise DisconnectedError("graph is not connected")
 
-    _, mv, bidx, flux, muv = problem
     # the singular symmetric system with the centering row appended as a
     # Lagrange constraint; its solution is the centered u
     n = g.n
@@ -313,6 +299,12 @@ def solve_boundary_measure(g: WeightedGraph, boundary, m: Measure, mu: Measure, 
     return _finish(problem, uvec, "direct")
 
 
+def solve_boundary_measure(g: WeightedGraph, boundary, m: Measure, mu: Measure, phi) -> NeumannSolution:
+    """``solve_direct`` on the problem of graph g with measure m and the
+    designated boundary set carrying its own finite measure mu."""
+    return solve_direct(NeumannProblem(g, boundary, m, mu), phi)
+
+
 def verify_solution(sub: NeumannProblem, sol: NeumannSolution, phi, tol: float = 1e-9) -> SolutionReport:
     """Recompute the residuals of a claimed solution from scratch.
 
@@ -320,7 +312,7 @@ def verify_solution(sub: NeumannProblem, sol: NeumannSolution, phi, tol: float =
     the centering total, with a pass/fail verdict against ``tol``; data
     that is not centered gets a report too.
     """
-    problem = _problem(sub.graph, sub.boundary, sub.measure, sub.boundary_measure(), phi, False)
+    problem = _problem(sub, phi, centered=False)
     res_int, res_bd, centering, _, _ = _residuals(*problem, sol.u.to_vector(sub.graph.vertices))
     passed = res_int <= tol and res_bd <= tol and abs(centering) <= tol * max(1.0, sub.measure.total)
     return SolutionReport(

@@ -56,7 +56,7 @@ from .errors import (
     UnknownVertexError,
 )
 from .graphs import Measure, NeumannProblem, WeightedGraph
-from .solver import _boundary_values
+from .solver import _problem
 
 __all__ = [
     "SamplePath",
@@ -534,37 +534,29 @@ def shift_path(path: SamplePath, t: float) -> SamplePath:
     )
 
 
-def mc_estimate(sub: NeumannProblem, phi, x0, T: float, N: int, seed: int,
-                mu: Measure | None = None) -> MCEstimate:
+def mc_estimate(sub: NeumannProblem, phi, x0, T: float, N: int, seed: int) -> MCEstimate:
     """Monte Carlo mean of the pathwise boundary integral
-    integral_0^T phi(Y_s) 1{Y_s in boundary} ds over N independent paths.
-
-    Boundary occupation is weighted by mu/m, ``mu`` defaulting to the
-    problem's boundary measure: on a closure, the plain vertex-boundary
-    local time.
-    """
-    return mc_estimate_measure(
-        sub.graph, sub.boundary, sub.measure,
-        mu if mu is not None else sub.boundary_measure(),
-        phi, x0, T, N, seed,
-    )
+    integral_0^T (phi * mu / m)(Y_s) 1{Y_s in boundary} ds over N
+    independent paths, mu the problem's boundary measure: on a closure,
+    the plain vertex-boundary local time of phi."""
+    return _estimator(sub, phi, x0, T, N, seed)()
 
 
-def _occupation_weights(g: WeightedGraph, boundary, m: Measure, mu: Measure,
-                        phi) -> np.ndarray:
-    """phi * mu / m on the checked boundary and 0 elsewhere, in g's vertex
+def _occupation_weights(sub: NeumannProblem, phi) -> np.ndarray:
+    """phi * mu / m on the boundary and 0 elsewhere, in the graph's vertex
     order: the rate at which the boundary integral accrues at each vertex.
-    mu, not the measure a ``BoundaryData`` carries, weights the occupation."""
-    boundary, values, bidx = _boundary_values(g, boundary, phi)
+    phi passes ``solver._problem``'s check, centered or not."""
+    g, mv, bidx, flux, muv = _problem(sub, phi, centered=False)
     weights = np.zeros(g.n)
-    weights[bidx] = values.to_vector(boundary) * mu._at(boundary) / m._at(boundary)
+    weights[bidx] = flux * muv / mv[bidx]
     return weights
 
 
-def _estimator(g: WeightedGraph, boundary: Sequence, m: Measure, mu: Measure,
-               phi, x0, T: float, N: int, seed: int):
-    """``mc_estimate_measure`` in two steps: the arguments are checked and
-    the jump table built before this returns ``run``.
+def _estimator(sub: NeumannProblem, phi, x0, T: float, N: int, seed: int):
+    """``mc_estimate`` in two steps: the arguments are checked and the jump
+    table built before this returns ``run``.  A job whose path values (each
+    within T max |phi * mu / m|) could overflow the squares the standard
+    error sums is an ``IllConditionedError``.
 
     ``run()`` walks the N paths once, in spans of ``_BATCH`` paths on
     ``_map_spans``, and returns the estimate.  ``run(rows, write)`` also
@@ -578,8 +570,14 @@ def _estimator(g: WeightedGraph, boundary: Sequence, m: Measure, mu: Measure,
         raise ValueError(f"need at least 2 samples, got {N}")
     N = int(N)
     x0 = str(x0)
+    g, m = sub.graph, sub.measure
     i0 = _start_index(g, x0)
-    weights = _occupation_weights(g, boundary, m, mu, phi)
+    weights = _occupation_weights(sub, phi)
+    bound = T * float(np.max(np.abs(weights)))
+    if not math.isfinite(4.0 * N * bound * bound):  # (x - mean)^2 <= (2 bound)^2
+        raise IllConditionedError(
+            f"path values up to {bound} overflow the sum of their squares over {N} paths",
+            bound=bound, samples=N)
     chain = _ChainParams(g, m)
     holds = _checked_holds(g, m, chain, T, N)
 
@@ -605,9 +603,9 @@ def _estimator(g: WeightedGraph, boundary: Sequence, m: Measure, mu: Measure,
 
 def mc_estimate_measure(g: WeightedGraph, boundary: Sequence, m: Measure, mu: Measure,
                         phi, x0, T: float, N: int, seed: int) -> MCEstimate:
-    """Boundary-measure Monte Carlo on an arbitrary graph: the chain runs
-    on g itself and boundary occupation is weighted by phi * mu / m."""
-    return _estimator(g, boundary, m, mu, phi, x0, T, N, seed)()
+    """``mc_estimate`` on the problem of graph g with measure m and the
+    designated boundary set carrying its own finite measure mu."""
+    return mc_estimate(NeumannProblem(g, boundary, m, mu), phi, x0, T, N, seed)
 
 
 def occupation_density(paths: Sequence[SamplePath], t: float, y, m: Measure) -> float:

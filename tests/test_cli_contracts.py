@@ -133,3 +133,23 @@ def test_an_overflowing_spectrum_is_refused(tmp_path, capsys, command):
     assert len(err.splitlines()) == 1
     assert json.loads(err, parse_constant=_reject_constant)["code"] == "IllConditioned"
     assert not out.exists()  # no CSV or report written
+
+
+@pytest.mark.parametrize("files, message", [
+    (["--boundary", "boundary.tsv", "--mu", "mu.tsv"], "give --interior"),
+    (["--interior", "interior.tsv", "--boundary", "boundary.tsv"], "not both"),
+    ([], "need --interior"),
+], ids=["boundary-measure", "both-modes", "no-problem"])
+def test_verify_loads_its_problem_as_solve_does(p3_files, capsys, files, message):
+    (p3_files / "boundary.tsv").write_text("1\n3\n")
+    (p3_files / "mu.tsv").write_text("1\t1.0\n3\t1.0\n")
+    out = p3_files / "out"
+    rc = main(["verify", "--graph", str(p3_files / "graph.tsv"),
+               "--measure", str(p3_files / "measure.tsv"),
+               *(f if f.startswith("--") else str(p3_files / f) for f in files),
+               "--out", str(out)])
+    assert rc == 1
+    err = _error(capsys)
+    assert err["code"] == "InputError"
+    assert message in err["message"]
+    assert not out.exists()

@@ -28,7 +28,7 @@ def test_csr_residual_matches_dense_product(seed, noise):
     rng = np.random.default_rng(seed)
     sub = random_closure(rng, n_max=20, max_weight=float(10.0 ** rng.integers(-3, 4)))
     phi = random_centered_phi(rng, sub)
-    problem = _problem(sub.graph, sub.boundary, sub.measure, sub.boundary_measure(), phi)
+    problem = _problem(sub, phi)
     g, mv, bidx, flux, muv = problem
     u = gn.solve_direct(sub, phi).u.to_vector(sub.closure) + noise * rng.standard_normal(g.n)
     _, _, _, rel, w = _residuals(*problem, u)

@@ -155,8 +155,8 @@ def test_dump_from_a_degree_zero_start(monkeypatch):
     monkeypatch.setattr(stochastic, "_POOL_HOLDS", 0)
     for cpus in (1, 2, 3):
         monkeypatch.setattr(stochastic, "_cpu_count", lambda cpus=cpus: cpus)
-        run = stochastic._estimator(g, ["c,d", "a"], m, m, {"c,d": 2.0, "a": 1.0},
-                                    "c,d", 1.5, 513, 3)
+        run = stochastic._estimator(gn.NeumannProblem(g, ["c,d", "a"], m, m),
+                                    {"c,d": 2.0, "a": 1.0}, "c,d", 1.5, 513, 3)
         texts = []
         est = run(cli._path_rows(g.vertices), texts.append)
         assert "".join(texts) == ref
@@ -174,8 +174,7 @@ def test_dump_of_paths_that_outlive_a_refill(p3_closure, p3_phi, monkeypatch, cp
     assert holds.min() > 2 * (2 * stochastic._MAX_BLOCKS)  # steps per refill of 3 paths
     monkeypatch.setattr(stochastic, "_POOL_HOLDS", 0)
     monkeypatch.setattr(stochastic, "_cpu_count", lambda: cpus)
-    run = stochastic._estimator(g, p3_closure.boundary, m, p3_closure.boundary_measure(),
-                                p3_phi, "2", T, N, seed)
+    run = stochastic._estimator(p3_closure, p3_phi, "2", T, N, seed)
     texts = []
     est = run(cli._path_rows(g.vertices), texts.append)
     assert "".join(texts) == ref

@@ -2,6 +2,7 @@
 residual gate."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,13 +24,14 @@ def foreign_phi():
                            measure=gn.Measure({"1": 2.0, "3": 1.0}))
 
 
-@pytest.mark.parametrize("route", ["direct", "green", "heat-integral"])
+@pytest.mark.parametrize("route", ["direct", "green", "heat-integral", "monte-carlo"])
 def test_every_route_rejects_data_with_a_foreign_measure(p3_closure, foreign_phi, route):
     spec = gn.eigendecompose(p3_closure.graph, p3_closure.measure)
     solve = {
         "direct": lambda: gn.solve_direct(p3_closure, foreign_phi),
         "green": lambda: gn.solve_green(p3_closure, foreign_phi, spec),
         "heat-integral": lambda: gn.solve_heat_integral(p3_closure, foreign_phi, spec, tol=1e-10),
+        "monte-carlo": lambda: gn.mc_estimate(p3_closure, foreign_phi, "1", 5.0, 100, 0),
     }[route]
     with pytest.raises(DomainMismatchError, match="different measure than mu"):
         solve()
@@ -54,7 +56,7 @@ def _closure(edges, interior):
     return gn.closure_subgraph(g, interior, gn.Measure.uniform(g.vertices))
 
 
-def _solve_cli(tmp_path, edges, interior, phi):
+def _run_cli(tmp_path, edges, interior, phi, command=("solve", "--method", "direct")):
     (tmp_path / "graph.tsv").write_text("".join(f"{x}\t{y}\t{w!r}\n" for x, y, w in edges))
     vertices = sorted({x for e in edges for x in e[:2]})
     (tmp_path / "measure.tsv").write_text("".join(f"{v}\t1\n" for v in vertices))
@@ -62,7 +64,7 @@ def _solve_cli(tmp_path, edges, interior, phi):
     (tmp_path / "phi.tsv").write_text("".join(f"{v}\t{x!r}\n" for v, x in phi.items()))
     env = {**os.environ, "PYTHONPATH": SRC}
     return subprocess.run(
-        [sys.executable, "-m", "gneumann.cli", "solve", "--method", "direct",
+        [sys.executable, "-m", "gneumann.cli", *command,
          "--graph", str(tmp_path / "graph.tsv"), "--measure", str(tmp_path / "measure.tsv"),
          "--interior", str(tmp_path / "interior.tsv"), "--phi", str(tmp_path / "phi.tsv"),
          "--out", str(tmp_path / "out")],
@@ -79,7 +81,7 @@ def test_direct_residual_gate_raises_ill_conditioned():
 
 
 def test_direct_residual_gate_through_the_cli(tmp_path):
-    proc = _solve_cli(tmp_path, ILL_EDGES, ["2", "3"], {"1": 1.0, "4": -1.0})
+    proc = _run_cli(tmp_path, ILL_EDGES, ["2", "3"], {"1": 1.0, "4": -1.0})
     assert proc.returncode == 1
     err = json.loads(proc.stderr)  # the whole of stderr is one JSON object
     assert err["code"] == "IllConditioned"
@@ -96,6 +98,37 @@ def test_direct_solves_weights_orders_apart(tmp_path, a, b):
     for v, x in exact.items():
         assert sol.u[v] == pytest.approx(x, abs=1e-6 / a)
     assert sol.residual_boundary > 1e-7
-    proc = _solve_cli(tmp_path, edges, ["2"], {"1": 1.0, "3": -1.0})
+    proc = _run_cli(tmp_path, edges, ["2"], {"1": 1.0, "3": -1.0})
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "solution.csv").exists()
+
+
+P3 = [("1", "2", 1.0), ("2", "3", 1.0)]
+SIMULATE = ("simulate", "--start", "2", "--T", "5", "--N", "100")
+
+
+@pytest.mark.parametrize("command, x, code", [
+    (SIMULATE, math.inf, "IncompatibleData"),
+    (SIMULATE + ("--dump-paths",), math.inf, "IncompatibleData"),
+    # finite data whose path values (up to T |phi| = 5e308) overflow
+    (SIMULATE, 1e308, "IllConditioned"),
+    (SIMULATE + ("--dump-paths",), 1e308, "IllConditioned"),
+    (("solve", "--method", "direct"), math.inf, "IncompatibleData"),
+], ids=["simulate-inf", "simulate-inf-dump", "simulate-1e308", "simulate-1e308-dump",
+        "solve-inf"])
+def test_non_finite_data_is_one_json_error_and_no_output(tmp_path, command, x, code):
+    proc = _run_cli(tmp_path, P3, ["2"], {"1": x, "3": -x}, command)
+    assert proc.returncode == 1
+    err = json.loads(proc.stderr)  # the whole of stderr is one JSON object
+    assert err["code"] == code
+    if x == math.inf:
+        assert err["context"] == {"vertex": "1", "value": "inf"}
+    assert not (tmp_path / "out").exists()
+
+
+def test_large_finite_data_is_still_simulated(tmp_path):
+    proc = _run_cli(tmp_path, P3, ["2"], {"1": 1e150, "3": -1e150},
+                      SIMULATE + ("--dump-paths",))
+    assert proc.returncode == 0, proc.stderr
+    est = json.loads((tmp_path / "out" / "estimate.json").read_text())
+    assert all(math.isfinite(est[k]) for k in ("value", "stderr", "analytic_reference"))

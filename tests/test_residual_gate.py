@@ -88,8 +88,7 @@ def test_overflowing_residual_floor_is_refused(tmp_path, capsys, k):
 def test_gate_refuses_finite_u_with_non_finite_diagnostics(w, u):
     g = gn.build_graph(["1", "2", "3"], [("1", "2", w), ("2", "3", w)])
     sub = gn.closure_subgraph(g, ["2"], gn.Measure.uniform(g.vertices))
-    problem = _problem(sub.graph, sub.boundary, sub.measure, sub.boundary_measure(),
-                       {"1": 1.0, "3": -1.0})
+    problem = _problem(sub, {"1": 1.0, "3": -1.0})
     uvec = gn.VertexFunction(dict(zip("123", u))).to_vector(sub.closure)
     with pytest.raises(IllConditionedError):
         _finish(problem, uvec, "direct")

@@ -217,7 +217,8 @@ def test_mc_boundary_measure_reweighting(p3_closure, p3_phi):
     # doubling mu doubles the estimate pathwise, exactly
     mu2 = gn.Measure({y: 2.0 * p3_closure.measure[y] for y in p3_closure.boundary})
     base = gn.mc_estimate(p3_closure, p3_phi, "1", 5.0, 400, 9)
-    scaled = gn.mc_estimate(p3_closure, p3_phi, "1", 5.0, 400, 9, mu=mu2)
+    problem2 = gn.NeumannProblem(p3_closure.graph, p3_closure.boundary, p3_closure.measure, mu2)
+    scaled = gn.mc_estimate(problem2, p3_phi.values, "1", 5.0, 400, 9)
     assert scaled.value == pytest.approx(2.0 * base.value, rel=1e-12)
 
 

@@ -60,6 +60,7 @@ def _boundary_measure(tmp_path):
 
 @pytest.mark.parametrize("argv, problem", [
     (["simulate", "--start", "2", "--T", "1", "--N", "100"], _closure),
+    (["simulate", "--start", "2", "--T", "1", "--N", "100"], _boundary_measure),
     (["kernel", "--times", "0.5,2"], None),
     (["solve", "--method", "direct"], _closure),
     (["solve", "--method", "direct"], _boundary_measure),
@@ -68,7 +69,7 @@ def _boundary_measure(tmp_path):
     (["solve", "--method", "green"], _boundary_measure),
     (["solve", "--method", "heat-integral"], _boundary_measure),
     (["verify"], _closure),
-], ids=["simulate", "kernel", "solve-direct", "solve-direct-boundary-measure", "solve-green",
+], ids=["simulate", "simulate-boundary-measure", "kernel", "solve-direct", "solve-direct-boundary-measure", "solve-green",
         "solve-heat-integral", "solve-green-boundary-measure",
         "solve-heat-integral-boundary-measure", "verify"])
 def test_command_runs_with_scipy_refused(tmp_path, p3_args, argv, problem):
