@@ -23,6 +23,7 @@ from .errors import GneumannError, InputError
 from .graphs import NeumannProblem, closure_subgraph
 from .solver import (
     BoundaryData,
+    _problem,
     check_compatibility,
     is_compatible,
     solve_direct,
@@ -143,7 +144,8 @@ def _load_problem(config: argparse.Namespace):
     return "boundary-measure", NeumannProblem(g, boundary, m, fileio.read_measure(config.mu))
 
 
-def _maybe_project(config: argparse.Namespace, phi: BoundaryData):
+def _maybe_project(config: argparse.Namespace, problem: NeumannProblem, phi: BoundaryData):
+    _problem(problem, phi, centered=False)  # before projecting: errors name the file's values
     if config.project and not is_compatible(phi):
         projected, shift = phi.project_centered()
         warning = (
@@ -166,7 +168,7 @@ def _cmd_solve(config: argparse.Namespace) -> int:
     mode, problem = _load_problem(config)
     _require(config, "phi")
     phi = BoundaryData.for_closure(problem, fileio.read_vertex_function(config.phi))
-    phi, shift, warning = _maybe_project(config, phi)
+    phi, shift, warning = _maybe_project(config, problem, phi)
     summary: dict = {"mode": mode}
 
     if config.method == "direct":

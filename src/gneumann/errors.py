@@ -6,6 +6,28 @@ and an optional ``context`` dict with the offending values.
 
 from __future__ import annotations
 
+__all__ = [
+    "GneumannError",
+    "NegativeWeightError",
+    "SelfLoopError",
+    "AsymmetricDuplicateError",
+    "UnknownVertexError",
+    "EmptyInteriorError",
+    "InteriorIsWholeGraphError",
+    "DisconnectedClosureError",
+    "DomainMismatchError",
+    "DisconnectedError",
+    "IllConditionedError",
+    "NonPositiveMeasureError",
+    "NonpositiveTimeError",
+    "IncompatibleDataError",
+    "SpectrumMismatchError",
+    "NonpositiveToleranceError",
+    "NonpositiveHorizonError",
+    "HorizonExceededError",
+    "InputError",
+]
+
 
 class GneumannError(Exception):
     """Base class for all domain errors raised by this package."""

@@ -46,14 +46,11 @@ def _laplacian(g: WeightedGraph, fv: np.ndarray) -> np.ndarray:
 def energy(g: WeightedGraph, u) -> float:
     """Dirichlet energy: half the weighted sum of squared differences
     over all ordered vertex pairs."""
-    uv = _as_function(u).to_vector(g.vertices)
-    d = uv[g.rows] - uv[g.indices]
-    return 0.5 * float(np.sum(g.data * (d * d)))
+    return energy_bilinear(g, u, u)
 
 
 def energy_bilinear(g: WeightedGraph, u, v) -> float:
-    """Polarized energy form; symmetric, and equal to ``energy`` on the
-    diagonal."""
+    """Polarized energy form; symmetric."""
     uv = _as_function(u).to_vector(g.vertices)
     vv = _as_function(v).to_vector(g.vertices)
     du = uv[g.rows] - uv[g.indices]

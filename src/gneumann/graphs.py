@@ -243,7 +243,9 @@ class _VertexValues:
         vec = np.array(vec, dtype=float)  # a copy no caller writes into
         if vec.ndim != 1 or len(order) != vec.shape[0]:
             raise DomainMismatchError("vector length does not match vertex order")
-        if len(set(order)) < len(order):  # repeats collapse before names become str
+        # raw repeats collapse first, as in dict(zip(order, vec)): [1, "1", 1]
+        # keeps the value of "1", where str names alone would keep the last 1's
+        if len(set(order)) < len(order):
             return cls(dict(zip(order, vec.tolist())))
         out = cls.__new__(cls)
         out._set(list(map(str, order)), vec)

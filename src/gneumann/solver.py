@@ -126,15 +126,6 @@ def is_compatible(phi: BoundaryData, rtol: float = COMPATIBILITY_RTOL) -> bool:
     return abs(total) <= rtol * max(1.0, mass)
 
 
-def _require_compatible(phi: BoundaryData) -> None:
-    if not is_compatible(phi):
-        raise IncompatibleDataError(
-            "boundary data is not centered against the boundary measure; "
-            "no solution exists",
-            compatibility_sum=check_compatibility(phi),
-        )
-
-
 def _residuals(g: WeightedGraph, mv: np.ndarray, bidx: np.ndarray, flux: np.ndarray,
                muv: np.ndarray, uvec: np.ndarray) -> tuple:
     """Largest Laplacian residual |Lu| / m off the boundary, largest
@@ -182,8 +173,10 @@ def _problem(sub: NeumannProblem, phi, centered: bool = True) -> tuple:
         raise IncompatibleDataError(
             f"boundary data must be finite, got phi({boundary[k]!r}) = {flux[k]}",
             vertex=boundary[k], value=float(flux[k]))
-    if centered:
-        _require_compatible(BoundaryData(values=values, measure=mu))
+    if centered and not is_compatible(data := BoundaryData(values=values, measure=mu)):
+        raise IncompatibleDataError(
+            "boundary data is not centered against the boundary measure; no solution exists",
+            compatibility_sum=check_compatibility(data))
     bidx = np.array([g.index(y) for y in boundary], dtype=np.intp)
     return g, sub.measure.to_vector(g.vertices), bidx, flux, mu._at(boundary)
 
@@ -256,6 +249,9 @@ def solve_heat_integral(sub: NeumannProblem, phi, spec: Spectrum, tol: float) ->
 
     g, mv, bidx, flux, muv = problem
     mass = sum(abs(f) * w for f, w in zip(flux.tolist(), muv.tolist()))
+    if not math.isfinite(mass):
+        raise IllConditionedError(
+            f"heat-integral solve: the data's mass sum |phi| mu is {mass}, not finite", mass=mass)
     if mass == 0.0:
         return _finish(problem, np.zeros(g.n), "heat-integral", horizon=0.0)
 

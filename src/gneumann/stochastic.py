@@ -266,9 +266,7 @@ def _walk(chain: _ChainParams, i0: int, T: float, rng: np.random.Generator):
         t += hold
         if t >= T:
             break
-        if ptr >= _BLOCK:
-            buf = rng.random(_BLOCK)
-            ptr = 0
+        # draws pair up from ptr 0 and _BLOCK is even: a jump never starts a block
         u2 = buf[ptr]
         ptr += 1
         j = guide[gptr[x] + int(u2 * nb[x])]

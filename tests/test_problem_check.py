@@ -132,3 +132,42 @@ def test_large_finite_data_is_still_simulated(tmp_path):
     assert proc.returncode == 0, proc.stderr
     est = json.loads((tmp_path / "out" / "estimate.json").read_text())
     assert all(math.isfinite(est[k]) for k in ("value", "stderr", "analytic_reference"))
+
+
+ROUTES = ("direct", "green", "heat-integral")
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_every_route_calls_overflowing_data_ill_conditioned(p3_closure, route):
+    """phi = +-1e308 is finite and centered, but its mass sum |phi| mu is
+    not: no route can meet it in floating point."""
+    phi = {"1": 1e308, "3": -1e308}
+    spec = gn.eigendecompose(p3_closure.graph, p3_closure.measure)
+    solve = {
+        "direct": lambda: gn.solve_direct(p3_closure, phi),
+        "green": lambda: gn.solve_green(p3_closure, phi, spec),
+        "heat-integral": lambda: gn.solve_heat_integral(p3_closure, phi, spec, tol=1e-10),
+    }[route]
+    with pytest.raises(IllConditionedError) as exc:
+        solve()
+    if route == "heat-integral":
+        assert exc.value.context == {"mass": math.inf}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_overflowing_data_is_one_ill_conditioned_error_through_the_cli(tmp_path, route):
+    proc = _run_cli(tmp_path, P3, ["2"], {"1": 1e308, "3": -1e308}, ("solve", "--method", route))
+    assert proc.returncode == 1
+    err = json.loads(proc.stderr)  # the whole of stderr is one JSON object
+    assert err["code"] == "IllConditioned"
+    assert not (tmp_path / "out").exists()
+
+
+def test_project_names_the_non_finite_value_the_file_holds(tmp_path):
+    proc = _run_cli(tmp_path, P3, ["2"], {"1": math.inf, "3": -math.inf},
+                    ("solve", "--method", "direct", "--project"))
+    assert proc.returncode == 1
+    err = json.loads(proc.stderr)
+    assert err["code"] == "IncompatibleData"
+    assert err["context"] == {"vertex": "1", "value": "inf"}
+    assert not (tmp_path / "out").exists()
