@@ -30,7 +30,14 @@ from .solver import (
     solve_green,
     solve_heat_integral,
 )
-from .spectral import _check_time, eigendecompose, green_kernel, heat_kernel, heat_time_integral
+from .spectral import (
+    _check_time,
+    _time_integral,
+    eigendecompose,
+    green_kernel,
+    heat_kernel,
+    krylov_apply,
+)
 from .stochastic import _estimator, _map_spans, _occupation_weights, mc_estimate_measure
 from .verification import run_all_suites
 
@@ -173,12 +180,10 @@ def _cmd_solve(config: argparse.Namespace) -> int:
 
     if config.method == "direct":
         sol = solve_direct(problem, phi)
+    elif config.method == "green":
+        sol = solve_green(problem, phi)
     else:
-        spec = eigendecompose(problem.graph, problem.measure)
-        if config.method == "green":
-            sol = solve_green(problem, phi, spec)
-        else:
-            sol = solve_heat_integral(problem, phi, spec, tol=config.tol)
+        sol = solve_heat_integral(problem, phi, tol=config.tol)
 
     out = _out_dir(config)
     fileio.write_solution_csv(sol.u, problem.boundary, problem.graph.vertices, out / "solution.csv")
@@ -229,10 +234,11 @@ def _cmd_simulate(config: argparse.Namespace) -> int:
     else:
         est = mc_estimate_measure(g, problem.boundary, m, problem.boundary_measure(), phi, *job)
 
-    # spectral value of the same finite-horizon expectation, as reference
-    spec = eigendecompose(g, m)
-    fvec = _occupation_weights(problem, phi)
-    ref = heat_time_integral(spec, fvec, config.T)[str(config.start)]
+    # the same finite-horizon expectation as reference: the heat-time
+    # integral of f m by Lanczos, plus its zero mode T (f . m) / m(X)
+    load = _occupation_weights(problem, phi) * m.to_vector(g.vertices)
+    u, _ = krylov_apply(g, m, load, lambda z, gap: _time_integral(z, config.T))
+    ref = float(u[g.index(str(config.start))]) + config.T * sum(load.tolist()) / m.total
     out = _out_dir(config)
 
     if config.dump_paths:

@@ -12,9 +12,12 @@ truncated heat-semigroup time integral) take either problem.  One
 problem check serves every route, ``verify_solution`` and the Monte
 Carlo estimator, and one residual routine the first two.  The residuals
 apply L through the CSR arrays, O(nnz); only the direct LU is dense
-(numpy's, filled from them).  All routes return the same centered
-solution up to numerical tolerance, which the test suites exploit as a
-cross-check.
+(numpy's, filled from them).  The Green and heat routes sum over the
+modes of a ``Spectrum`` when given one, and otherwise apply their
+function of the Laplacian to the boundary load by Lanczos
+(``spectral.krylov_apply``), with no n x n array.  All routes return the
+same centered solution up to numerical tolerance, which the test suites
+exploit as a cross-check.
 """
 
 from __future__ import annotations
@@ -35,8 +38,10 @@ from .forms import VertexFunction, _as_function, _laplacian
 from .graphs import Measure, NeumannProblem, WeightedGraph, is_connected
 from .spectral import (
     Spectrum,
+    _time_integral,
     check_spectrum_matches,
     heat_time_integral,
+    krylov_apply,
     mixing_constants,
 )
 
@@ -55,6 +60,8 @@ __all__ = [
 
 # relative compatibility tolerance: |sum phi dmu| <= RTOL * max(1, sum |phi| dmu)
 COMPATIBILITY_RTOL = 1e-10
+# the heat route's mixing bound |p_t(x,y) - 1/m(X)| <= c1 e^{-c2 t} holds from t = _T0 on
+_T0 = 1e-9
 # residual gate of every route: each row's residual <= RESIDUAL_RTOL * max(1, s),
 # s the largest |phi| * max(1, mu/m) on the boundary, or else within the
 # rounding floor of that row
@@ -194,7 +201,9 @@ def _finish(problem: tuple, uvec, method, horizon=None, slack=0.0) -> NeumannSol
     ``slack`` is the residual Lu / m - f a route admits by construction
     (the heat route's truncated tail), so a row divided by w admits
     ``slack * m / w``.  A row beyond both raises
-    ``IllConditionedError``, as does a non-finite u, residual or tolerance.
+    ``IllConditionedError``, as does a non-finite u, residual, rounding
+    floor or tolerance, whose error names the first such quantity and its
+    first row, and a non-finite centering total.
     """
     g, mv, bidx, flux, muv = problem
     res_int, res_bd, centering, rel, w = _residuals(*problem, uvec)
@@ -202,16 +211,24 @@ def _finish(problem: tuple, uvec, method, horizon=None, slack=0.0) -> NeumannSol
     row_abs = g.deg * au + np.bincount(g.rows, weights=g.data * au[g.indices], minlength=g.n)
     floor = (np.diff(g.indptr) + 2) * np.finfo(float).eps * row_abs / w
     scale = max(1.0, float(np.max(np.abs(flux) * np.maximum(1.0, muv / mv[bidx]))))
-    tol = np.maximum(RESIDUAL_RTOL * scale, floor) + slack * (mv / w)
-    finite = np.isfinite(uvec) & np.isfinite(rel) & np.isfinite(tol)
-    k = int(np.argmax(rel / tol)) if finite.all() else int(np.argmin(finite))
-    if not (finite[k] and rel[k] <= tol[k] and math.isfinite(centering)):
+    tol = np.maximum(RESIDUAL_RTOL * scale, floor) + slack * mv / w
+    for what, a in (("u", uvec), ("residual", rel), ("rounding floor", floor), ("tolerance", tol)):
+        k = int(np.argmin(np.isfinite(a)))
+        if not math.isfinite(a[k]):
+            raise IllConditionedError(
+                f"{method} solve: the {what} at vertex {g.vertices[k]!r} is not finite: "
+                "ill-conditioned",
+                vertex=g.vertices[k], not_finite=what, residual=float(rel[k]),
+                tolerance=float(tol[k]))
+    k = int(np.argmax(rel / tol))
+    if rel[k] > tol[k]:
         raise IllConditionedError(
-            f"{method} solve residual is not finite or exceeds its tolerance: ill-conditioned",
-            vertex=g.vertices[k],
-            residual=float(rel[k]),
-            tolerance=float(tol[k]),
-        )
+            f"{method} solve residual exceeds its tolerance: ill-conditioned",
+            vertex=g.vertices[k], residual=float(rel[k]), tolerance=float(tol[k]))
+    if not math.isfinite(centering):
+        raise IllConditionedError(
+            f"{method} solve: the centering total u . m is {centering}, not finite: "
+            "ill-conditioned", centering=centering)
     return NeumannSolution(
         u=VertexFunction.from_vector(g.vertices, uvec),
         method=method,
@@ -222,12 +239,24 @@ def _finish(problem: tuple, uvec, method, horizon=None, slack=0.0) -> NeumannSol
     )
 
 
-def solve_green(sub: NeumannProblem, phi, spec: Spectrum) -> NeumannSolution:
+def _load(problem: tuple) -> np.ndarray:
+    """The boundary load phi * mu extended by zero, in vertex order."""
+    g, _, bidx, flux, muv = problem
+    b = np.zeros(g.n)
+    b[bidx] = flux * muv
+    return b
+
+
+def solve_green(sub: NeumannProblem, phi, spec: Spectrum | None = None) -> NeumannSolution:
     """Green-kernel route: u(x) = sum over boundary y of
     phi(y) g(x,y) mu(y); centered automatically since the kernel rows
-    integrate to zero.  The kernel's spectral sum is taken mode by mode
-    against the boundary load, O(n |B|) work with no n x n kernel formed."""
+    integrate to zero.  With ``spec`` the kernel's spectral sum is taken
+    mode by mode against the boundary load, O(n |B|) work with no n x n
+    kernel formed; without, Lanczos applies 1/z to the load."""
     problem = _problem(sub, phi)
+    if spec is None:
+        uvec, _ = krylov_apply(sub.graph, sub.measure, _load(problem), lambda z, gap: 1.0 / z)
+        return _finish(problem, uvec, "green")
     check_spectrum_matches(spec, sub.graph, sub.measure)
     _, _, bidx, flux, muv = problem
     psi = spec.basis[:, 1:]
@@ -235,15 +264,23 @@ def solve_green(sub: NeumannProblem, phi, spec: Spectrum) -> NeumannSolution:
     return _finish(problem, uvec, "green")
 
 
-def solve_heat_integral(sub: NeumannProblem, phi, spec: Spectrum, tol: float) -> NeumannSolution:
+def solve_heat_integral(sub: NeumannProblem, phi, spec: Spectrum | None = None,
+                        tol: float = 1e-10) -> NeumannSolution:
     """Heat-semigroup route: the time integral of the heat semigroup
     applied to the boundary data, up to a horizon T, then recentered.
 
-    T is chosen from the mixing bound so the neglected tail is below
-    ``tol`` in sup norm.  The source is phi * mu / m on the boundary.
+    T is chosen from the mixing bound |p_t(x,y) - 1/m(X)| <= c1 e^{-c2 t}
+    so the neglected tail is below ``tol`` in sup norm.  The source is
+    phi * mu / m on the boundary.  With ``spec``, c1 and c2 are its
+    ``mixing_constants`` and the integral is summed over its modes.
+    Without, Lanczos integrates the load, c2 is its lower bound on the
+    spectral gap, and c1 = e^{c2 t0} max_x (1/m(x) - 1/m(X)) bounds the
+    eigen-expansion value from above, since the squares of the
+    eigenfunctions at x sum to 1/m(x) over all modes.
     """
     problem = _problem(sub, phi)
-    check_spectrum_matches(spec, sub.graph, sub.measure)
+    if spec is not None:
+        check_spectrum_matches(spec, sub.graph, sub.measure)
     if not (isinstance(tol, (int, float)) and 0 < tol < math.inf):
         raise NonpositiveToleranceError(f"tolerance must be positive and finite, got {tol}")
 
@@ -255,15 +292,36 @@ def solve_heat_integral(sub: NeumannProblem, phi, spec: Spectrum, tol: float) ->
     if mass == 0.0:
         return _finish(problem, np.zeros(g.n), "heat-integral", horizon=0.0)
 
-    c1, c2 = mixing_constants(spec, 1e-9)
-    # tail of the time integral beyond T is bounded by c1 * mass * e^{-c2 T} / c2
-    T = max(math.log(c1 * mass / (c2 * tol)) / c2, 1e-6)
+    def horizon(c1: float, c2: float) -> float:
+        # tail of the time integral beyond T is bounded by c1 * mass * e^{-c2 T} / c2;
+        # a ratio that underflows to 0 needs no time, one that overflows none finite
+        scale = c2 * tol
+        ratio = c1 * mass / scale if scale > 0.0 else math.inf
+        return max(math.log(ratio) / c2, 1e-6) if ratio != 0.0 else 1e-6
 
-    # phi * mu / m extended by zero, as dictated by the boundary sum; the
-    # ratio is 1.0 where mu = m, so a closure's source is phi bit for bit
-    fvec = np.zeros(g.n)
-    fvec[bidx] = flux * (muv / mv[bidx])
-    uvec = heat_time_integral(spec, fvec, T).to_vector(g.vertices)
+    if spec is None:
+        spread = float(np.max(1.0 / mv)) - 1.0 / sub.measure.total
+
+        def bound(c2: float) -> float:  # c1, inf once e^{c2 t0} overflows
+            return spread * math.exp(c2 * _T0) if c2 * _T0 < 700.0 else math.inf
+
+        uvec, c2 = krylov_apply(g, sub.measure, _load(problem),
+                                lambda z, gap: _time_integral(z, horizon(bound(gap), gap)))
+        if c2 == math.inf:  # the load has no part off the constants: u = 0
+            return _finish(problem, uvec, "heat-integral", horizon=0.0)
+        c1 = bound(c2)
+    else:
+        c1, c2 = mixing_constants(spec, _T0)
+    T = horizon(c1, c2)
+    if not math.isfinite(T):
+        raise IllConditionedError(
+            f"heat-integral solve: the horizon is {T}, not finite", c1=c1, gap=c2)
+    if spec is not None:
+        # phi * mu / m extended by zero, as dictated by the boundary sum; the
+        # ratio is 1.0 where mu = m, so a closure's source is phi bit for bit
+        fvec = np.zeros(g.n)
+        fvec[bidx] = flux * (muv / mv[bidx])
+        uvec = heat_time_integral(spec, fvec, T).to_vector(g.vertices)
     uvec -= (uvec @ mv) / sub.measure.total
     # the residual Lu / m - f is the semigroup at T applied to f, which the
     # mixing bound caps at c1 * mass * e^{-c2 T}
