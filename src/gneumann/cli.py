@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import warnings
 from itertools import chain, groupby
@@ -307,7 +306,8 @@ def _cmd_verify(config: argparse.Namespace) -> int:
         phi = BoundaryData.for_closure(sub, fileio.read_vertex_function(config.phi))
     report = run_all_suites(sub, phi=phi, seed=config.seed)
     out = _out_dir(config)
-    fileio.write_json(report, out / "report.json")
+    # a non-finite error, which fails its suite, is written as a string
+    fileio.write_json(fileio._json_safe(report), out / "report.json")
     return 0 if report["passed"] else 1
 
 
@@ -330,10 +330,8 @@ def main(argv=None) -> int:
             warnings.simplefilter("ignore", RuntimeWarning)
             return _COMMANDS[config.command](config)
     except GneumannError as e:
-        # non-finite floats as strings keep the error object strict JSON
-        context = {k: str(v) if isinstance(v, float) and not math.isfinite(v) else v
-                   for k, v in getattr(e, "context", {}).items()}
-        payload = {"code": e.code, "message": str(e), "context": context}
+        payload = {"code": e.code, "message": str(e),
+                   "context": fileio._json_safe(getattr(e, "context", {}))}
         print(json.dumps(payload, sort_keys=True, default=str, allow_nan=False), file=sys.stderr)
         return 1
     except (OSError, UnicodeDecodeError) as e:  # unreadable or non-UTF-8 input file

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from itertools import count
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -297,6 +298,16 @@ def read_solution_csv(path) -> tuple[VertexFunction, tuple[str, ...]]:
     if not values:
         raise InputError(f"{path}: empty solution file")
     return VertexFunction(values), tuple(boundary)
+
+
+def _json_safe(obj):
+    """obj with each non-finite float, in any dict or list, written as its
+    string ("nan", "inf"), so that it is strict JSON."""
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_json_safe(v) for v in obj]
+    return str(obj) if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def write_json(obj, path) -> None:

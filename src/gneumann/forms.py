@@ -37,8 +37,11 @@ def _as_function(f) -> VertexFunction:
 
 
 def _laplacian(g: WeightedGraph, fv: np.ndarray) -> np.ndarray:
-    """sum_y b(x,y) (f(x) - f(y)) at every vertex x; exactly zero on
-    constants."""
+    """sum_y b(x,y) (f(x) - f(y)) at every vertex x, of a vector f or of
+    each column of a matrix f (O(nnz) per column, with the vector's bits);
+    exactly zero on constants."""
+    if fv.ndim == 2:
+        return np.stack([_laplacian(g, f) for f in fv.T], axis=1)
     terms = g.data * (fv[g.rows] - fv[g.indices])
     return np.bincount(g.rows, weights=terms, minlength=g.n).astype(float, copy=False)
 

@@ -60,7 +60,8 @@ __all__ = [
 
 # relative compatibility tolerance: |sum phi dmu| <= RTOL * max(1, sum |phi| dmu)
 COMPATIBILITY_RTOL = 1e-10
-# the heat route's mixing bound |p_t(x,y) - 1/m(X)| <= c1 e^{-c2 t} holds from t = _T0 on
+# the heat route's mixing bound |p_t(x,y) - 1/m(X)| <= c1 e^{-c2 t} is taken from
+# t0 = min(_T0, 1/c2) on, so that c1's factor e^{c2 t0} is at most e and never overflows
 _T0 = 1e-9
 # residual gate of every route: each row's residual <= RESIDUAL_RTOL * max(1, s),
 # s the largest |phi| * max(1, mu/m) on the boundary, or else within the
@@ -271,7 +272,8 @@ def solve_heat_integral(sub: NeumannProblem, phi, spec: Spectrum | None = None,
 
     T is chosen from the mixing bound |p_t(x,y) - 1/m(X)| <= c1 e^{-c2 t}
     so the neglected tail is below ``tol`` in sup norm.  The source is
-    phi * mu / m on the boundary.  With ``spec``, c1 and c2 are its
+    phi * mu / m on the boundary.  The bound is taken from t0 =
+    min(1e-9, 1/c2) on.  With ``spec``, c1 and c2 are its
     ``mixing_constants`` and the integral is summed over its modes.
     Without, Lanczos integrates the load, c2 is its lower bound on the
     spectral gap, and c1 = e^{c2 t0} max_x (1/m(x) - 1/m(X)) bounds the
@@ -302,8 +304,8 @@ def solve_heat_integral(sub: NeumannProblem, phi, spec: Spectrum | None = None,
     if spec is None:
         spread = float(np.max(1.0 / mv)) - 1.0 / sub.measure.total
 
-        def bound(c2: float) -> float:  # c1, inf once e^{c2 t0} overflows
-            return spread * math.exp(c2 * _T0) if c2 * _T0 < 700.0 else math.inf
+        def bound(c2: float) -> float:  # c1
+            return spread * math.exp(c2 * min(_T0, 1.0 / c2))
 
         uvec, c2 = krylov_apply(g, sub.measure, _load(problem),
                                 lambda z, gap: _time_integral(z, horizon(bound(gap), gap)))
@@ -311,7 +313,7 @@ def solve_heat_integral(sub: NeumannProblem, phi, spec: Spectrum | None = None,
             return _finish(problem, uvec, "heat-integral", horizon=0.0)
         c1 = bound(c2)
     else:
-        c1, c2 = mixing_constants(spec, _T0)
+        c1, c2 = mixing_constants(spec, min(_T0, 1.0 / spec.spectral_gap))
     T = horizon(c1, c2)
     if not math.isfinite(T):
         raise IllConditionedError(
@@ -335,6 +337,11 @@ def solve_direct(sub: NeumannProblem, phi) -> NeumannSolution:
     weak identity Q(u, v) = sum phi v dmu specialized to indicators.  The
     dense LU is numpy's (LAPACK ``dgesv``); the residual gate judges a
     near-singular system.
+
+    The (n+1) x (n+1) system is filled straight from the CSR arrays, L
+    into its top-left block by ``WeightedGraph.laplacian_into``, with no
+    n x n Laplacian of its own: the route holds that one array and the
+    LU's copy of it, about 2 (n+1)^2 doubles.
     """
     problem = _problem(sub, phi)
     g, mv, bidx, flux, muv = problem
@@ -345,7 +352,7 @@ def solve_direct(sub: NeumannProblem, phi) -> NeumannSolution:
     # Lagrange constraint; its solution is the centered u
     n = g.n
     K = np.zeros((n + 1, n + 1))
-    K[:n, :n] = g.laplacian_matrix
+    g.laplacian_into(K[:n, :n])
     K[:n, n] = K[n, :n] = mv
     b = np.zeros(n + 1)
     b[bidx] = flux * muv
