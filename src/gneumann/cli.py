@@ -334,8 +334,11 @@ def main(argv=None) -> int:
                    "context": fileio._json_safe(getattr(e, "context", {}))}
         print(json.dumps(payload, sort_keys=True, default=str, allow_nan=False), file=sys.stderr)
         return 1
-    except (OSError, UnicodeDecodeError) as e:  # unreadable or non-UTF-8 input file
-        payload = {"code": "InputError", "message": str(e), "context": {}}
+    except (OSError, UnicodeDecodeError, MemoryError) as e:
+        # an unreadable or non-UTF-8 input file, or an allocation numpy
+        # refused (its _ArrayMemoryError), such as a dense n x n array
+        code = "OutOfMemory" if isinstance(e, MemoryError) else "InputError"
+        payload = {"code": code, "message": str(e) or code, "context": {}}
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
         return 1
 

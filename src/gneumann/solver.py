@@ -7,17 +7,19 @@ Solvable exactly when phi is centered against mu; the solution is unique
 once centered in the ambient measure m.  The vertex-boundary problem of
 a closure (``SubgraphClosure``) is its case mu = m on the vertex boundary.
 
-Three analytic routes (direct augmented solve, Green-kernel summation,
+Three analytic routes (direct linear solve, Green-kernel summation,
 truncated heat-semigroup time integral) take either problem.  One
 problem check serves every route, ``verify_solution`` and the Monte
 Carlo estimator, and one residual routine the first two.  The residuals
-apply L through the CSR arrays, O(nnz); only the direct LU is dense
-(numpy's, filled from them).  The Green and heat routes sum over the
-modes of a ``Spectrum`` when given one, and otherwise apply their
-function of the Laplacian to the boundary load by Lanczos
-(``spectral.krylov_apply``), with no n x n array.  All routes return the
-same centered solution up to numerical tolerance, which the test suites
-exploit as a cross-check.
+apply L through the CSR arrays, O(nnz).  The direct route solves by
+Jacobi-preconditioned conjugate gradients on those arrays above
+``DENSE_MAX_N`` vertices, and by numpy's dense LU of the augmented
+system, filled from them, up to that size or when CG fails.  The Green
+and heat routes sum over the modes of a ``Spectrum`` when given one, and
+otherwise apply their function of the Laplacian to the boundary load by
+Lanczos (``spectral.krylov_apply``), with no n x n array.  All routes
+return the same centered solution up to numerical tolerance, which the
+test suites exploit as a cross-check.
 """
 
 from __future__ import annotations
@@ -67,6 +69,12 @@ _T0 = 1e-9
 # s the largest |phi| * max(1, mu/m) on the boundary, or else within the
 # rounding floor of that row
 RESIDUAL_RTOL = 1e-6
+# the direct route's dense LU serves graphs of up to this many vertices (at
+# 1024 it takes about 26 ms and its system is 8 MB); above, conjugate
+# gradients, with the LU as fallback
+DENSE_MAX_N = 1024
+# conjugate gradients stop once ||b - L u||_2 <= CG_RTOL * ||b||_2
+CG_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -331,32 +339,81 @@ def solve_heat_integral(sub: NeumannProblem, phi, spec: Spectrum | None = None,
                    slack=c1 * mass * math.exp(-c2 * T))
 
 
+def _jacobi_cg(g: WeightedGraph, b: np.ndarray, steps: int) -> np.ndarray | None:
+    """A u with L u = b by conjugate gradients from u = 0 with the Jacobi
+    preconditioner 1 / deg, or None when the residual r = b - L u does not
+    reach ||r|| <= CG_RTOL ||b|| within ``steps`` steps or a step's p . L p
+    (or r . r / deg) is not finite and positive.
+
+    L applies through the CSR arrays and every reduction is an ``np.sum``
+    of a product, not a BLAS product, so the bits do not depend on the
+    number of CPUs.  b is scaled by a power of two to a largest entry in
+    [0.5, 1), so that its norm neither overflows nor underflows, and u is
+    scaled back.
+    """
+    top = float(np.max(np.abs(b)))
+    if not math.isfinite(top):
+        return None
+    e = math.frexp(top)[1]
+    r = np.ldexp(b, -e)
+    u = np.zeros(g.n)
+    stop = CG_RTOL * math.sqrt(float(np.sum(r * r)))
+    with np.errstate(all="ignore"):  # a failed step shows as a non-finite p . L p
+        inv = 1.0 / g.deg
+        z = r * inv
+        p = z
+        rz = float(np.sum(r * z))
+        for k in range(steps + 1):
+            if math.sqrt(float(np.sum(r * r))) <= stop:
+                return np.ldexp(u, e)
+            if k == steps:
+                break
+            q = _laplacian(g, p)
+            pq = float(np.sum(p * q))
+            if not (0.0 < pq < math.inf and rz > 0.0):  # rz is 0 only if r / deg underflows
+                break
+            alpha = rz / pq
+            u += alpha * p
+            r -= alpha * q
+            z = r * inv
+            rz, rz_old = float(np.sum(r * z)), rz
+            p = z + (rz / rz_old) * p
+    return None
+
+
 def solve_direct(sub: NeumannProblem, phi) -> NeumannSolution:
     """Direct route: the centered u with vanishing Laplacian off the
     boundary and m(y) * (Laplacian u)(y) = phi(y) mu(y) on it, i.e. the
     weak identity Q(u, v) = sum phi v dmu specialized to indicators.  The
-    dense LU is numpy's (LAPACK ``dgesv``); the residual gate judges a
-    near-singular system.
+    residual gate judges the result of either solver below.
 
-    The (n+1) x (n+1) system is filled straight from the CSR arrays, L
-    into its top-left block by ``WeightedGraph.laplacian_into``, with no
-    n x n Laplacian of its own: the route holds that one array and the
+    Above ``DENSE_MAX_N`` vertices, Jacobi-preconditioned conjugate
+    gradients (``_jacobi_cg``, at most n steps) solve L u = phi * mu on
+    the CSR arrays, and u is then centered in m: O(nnz) per step and a few
+    n-vectors of memory, with bits that do not depend on the CPU count.
+    Up to that size, and whenever CG fails, numpy's dense LU (LAPACK
+    ``dgesv``) solves the (n+1) x (n+1) system of L with the centering row
+    appended, filled straight from the CSR arrays, L into its top-left
+    block by ``WeightedGraph.laplacian_into``: it holds that array and the
     LU's copy of it, about 2 (n+1)^2 doubles.
     """
     problem = _problem(sub, phi)
-    g, mv, bidx, flux, muv = problem
+    g, mv = problem[:2]
     if not is_connected(g):
         raise DisconnectedError("graph is not connected")
 
+    n = g.n
+    load = _load(problem)
+    uvec = _jacobi_cg(g, load, n) if n > DENSE_MAX_N else None
+    if uvec is not None:
+        uvec -= float(np.sum(uvec * mv)) / float(np.sum(mv))
+        return _finish(problem, uvec, "direct")
     # the singular symmetric system with the centering row appended as a
     # Lagrange constraint; its solution is the centered u
-    n = g.n
     K = np.zeros((n + 1, n + 1))
     g.laplacian_into(K[:n, :n])
     K[:n, n] = K[n, :n] = mv
-    b = np.zeros(n + 1)
-    b[bidx] = flux * muv
-    uvec = np.linalg.solve(K, b)[:n]
+    uvec = np.linalg.solve(K, np.append(load, 0.0))[:n]
     return _finish(problem, uvec, "direct")
 
 
