@@ -71,10 +71,18 @@ _FLAGS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors (a malformed or unknown flag, an unknown
+    or missing command) raise ``InputError``, as every other bad input."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def _build_parser(defaults: dict) -> argparse.ArgumentParser:
     """The parser of all four commands; ``defaults`` (checked --config
     values) replace the table's defaults, so explicit flags still win."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gneumann",
         description="Neumann boundary-value problems on finite weighted graphs",
     )
@@ -320,8 +328,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    config = _build_parser({}).parse_args(argv)
     try:
+        config = _build_parser({}).parse_args(argv)
         if config.config:
             config = _build_parser(_read_config(config.config)).parse_args(argv)
         with warnings.catch_warnings():

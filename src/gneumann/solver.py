@@ -15,11 +15,11 @@ apply L through the CSR arrays, O(nnz).  The direct route solves by
 Jacobi-preconditioned conjugate gradients on those arrays above
 ``DENSE_MAX_N`` vertices, and by numpy's dense LU of the augmented
 system, filled from them, up to that size or when CG fails.  The Green
-and heat routes sum over the modes of a ``Spectrum`` when given one, and
-otherwise apply their function of the Laplacian to the boundary load by
-Lanczos (``spectral.krylov_apply``), with no n x n array.  All routes
-return the same centered solution up to numerical tolerance, which the
-test suites exploit as a cross-check.
+and heat routes have one body each, which applies their function of the
+Laplacian to the boundary load by Lanczos (``spectral.krylov_apply``),
+with no n x n array, or over the modes of a given ``Spectrum``, its exact
+basis.  All routes return the same centered solution up to numerical
+tolerance, which the test suites exploit as a cross-check.
 """
 
 from __future__ import annotations
@@ -38,14 +38,7 @@ from .errors import (
 )
 from .forms import VertexFunction, _as_function, _laplacian
 from .graphs import Measure, NeumannProblem, WeightedGraph, is_connected
-from .spectral import (
-    Spectrum,
-    _time_integral,
-    check_spectrum_matches,
-    heat_time_integral,
-    krylov_apply,
-    mixing_constants,
-)
+from .spectral import Spectrum, _time_integral, check_spectrum_matches, krylov_apply
 
 __all__ = [
     "BoundaryData",
@@ -158,7 +151,7 @@ def _residuals(g: WeightedGraph, mv: np.ndarray, bidx: np.ndarray, flux: np.ndar
     return float(np.max(rel[off], initial=0.0)), float(np.max(rel[bidx])), float(uvec @ mv), rel, w
 
 
-def _problem(sub: NeumannProblem, phi, centered: bool = True) -> tuple:
+def _problem(sub: NeumannProblem, phi, centered: bool = True, spec: Spectrum | None = None) -> tuple:
     """The checked problem as the arguments of ``_residuals`` before the
     solution: (g, m, boundary indices, phi, mu), the last four as vectors.
 
@@ -167,6 +160,7 @@ def _problem(sub: NeumannProblem, phi, centered: bool = True) -> tuple:
     graph, phi (a ``BoundaryData``, a ``VertexFunction`` or a mapping)
     must be defined exactly on it, a ``BoundaryData`` must carry mu, phi
     must be finite and, unless ``centered`` is false, centered against mu.
+    A ``spec`` given must then be the spectrum of g and m.
     """
     g, boundary, mu = sub.graph, sub.boundary, sub.boundary_measure()
     if not boundary:
@@ -193,6 +187,8 @@ def _problem(sub: NeumannProblem, phi, centered: bool = True) -> tuple:
         raise IncompatibleDataError(
             "boundary data is not centered against the boundary measure; no solution exists",
             compatibility_sum=check_compatibility(data))
+    if spec is not None:
+        check_spectrum_matches(spec, g, sub.measure)
     bidx = np.array([g.index(y) for y in boundary], dtype=np.intp)
     return g, sub.measure.to_vector(g.vertices), bidx, flux, mu._at(boundary)
 
@@ -256,20 +252,36 @@ def _load(problem: tuple) -> np.ndarray:
     return b
 
 
+def _apply(sub: NeumannProblem, problem: tuple, spec: Spectrum | None, fun) -> tuple:
+    """``spectral.krylov_apply`` of ``fun`` to the boundary load: by Lanczos,
+    or summed over the nonzero modes of ``spec``, the exact basis Lanczos
+    approximates once its Krylov space is exhausted, O(n |B|) work with
+    the exact gap (zeros and a gap of inf when there is no nonzero mode)."""
+    if spec is None:
+        return krylov_apply(sub.graph, sub.measure, _load(problem), fun)
+    lam, psi = spec.eigenvalues[1:], spec.basis[:, 1:]
+    if not len(lam):  # a single vertex
+        return np.zeros(sub.graph.n), math.inf
+    _, _, bidx, flux, muv = problem
+    gap = float(lam[0])
+    return psi @ (fun(lam, gap) * (psi[bidx].T @ (flux * muv))), gap
+
+
+def _mixing_c1(mv: np.ndarray, total: float, gap: float, t0: float = _T0) -> float:
+    """c1 of the mixing bound |p_t(x,y) - 1/m(X)| <= c1 e^{-gap t} from t =
+    min(t0, 1/gap) on: e^{gap t} max_x (1/m(x) - 1/m(X)), above the
+    eigen-expansion value of ``spectral.mixing_constants``, since the
+    squares of the eigenfunctions at x sum to 1/m(x) over all modes."""
+    return (float(np.max(1.0 / mv)) - 1.0 / total) * math.exp(gap * min(t0, 1.0 / gap))
+
+
 def solve_green(sub: NeumannProblem, phi, spec: Spectrum | None = None) -> NeumannSolution:
     """Green-kernel route: u(x) = sum over boundary y of
     phi(y) g(x,y) mu(y); centered automatically since the kernel rows
-    integrate to zero.  With ``spec`` the kernel's spectral sum is taken
-    mode by mode against the boundary load, O(n |B|) work with no n x n
-    kernel formed; without, Lanczos applies 1/z to the load."""
-    problem = _problem(sub, phi)
-    if spec is None:
-        uvec, _ = krylov_apply(sub.graph, sub.measure, _load(problem), lambda z, gap: 1.0 / z)
-        return _finish(problem, uvec, "green")
-    check_spectrum_matches(spec, sub.graph, sub.measure)
-    _, _, bidx, flux, muv = problem
-    psi = spec.basis[:, 1:]
-    uvec = psi @ ((psi[bidx].T @ (flux * muv)) / spec.eigenvalues[1:])
+    integrate to zero.  ``_apply`` takes 1/z to the boundary load, by
+    Lanczos or over the modes of ``spec``, with no kernel formed."""
+    problem = _problem(sub, phi, spec=spec)
+    uvec, _ = _apply(sub, problem, spec, lambda z, gap: 1.0 / z)
     return _finish(problem, uvec, "green")
 
 
@@ -278,19 +290,13 @@ def solve_heat_integral(sub: NeumannProblem, phi, spec: Spectrum | None = None,
     """Heat-semigroup route: the time integral of the heat semigroup
     applied to the boundary data, up to a horizon T, then recentered.
 
-    T is chosen from the mixing bound |p_t(x,y) - 1/m(X)| <= c1 e^{-c2 t}
-    so the neglected tail is below ``tol`` in sup norm.  The source is
-    phi * mu / m on the boundary.  The bound is taken from t0 =
-    min(1e-9, 1/c2) on.  With ``spec``, c1 and c2 are its
-    ``mixing_constants`` and the integral is summed over its modes.
-    Without, Lanczos integrates the load, c2 is its lower bound on the
-    spectral gap, and c1 = e^{c2 t0} max_x (1/m(x) - 1/m(X)) bounds the
-    eigen-expansion value from above, since the squares of the
-    eigenfunctions at x sum to 1/m(x) over all modes.
+    The source is phi * mu / m on the boundary: ``_apply`` takes each
+    mode's weight (1 - e^{-z T}) / z to the boundary load.  T is chosen
+    from the mixing bound |p_t(x,y) - 1/m(X)| <= c1 e^{-c2 t}, c2 the gap
+    bound of ``_apply`` and c1 the one rule of ``_mixing_c1``, so that the
+    neglected tail is below ``tol`` in sup norm.
     """
-    problem = _problem(sub, phi)
-    if spec is not None:
-        check_spectrum_matches(spec, sub.graph, sub.measure)
+    problem = _problem(sub, phi, spec=spec)
     if not (isinstance(tol, (int, float)) and 0 < tol < math.inf):
         raise NonpositiveToleranceError(f"tolerance must be positive and finite, got {tol}")
 
@@ -302,36 +308,20 @@ def solve_heat_integral(sub: NeumannProblem, phi, spec: Spectrum | None = None,
     if mass == 0.0:
         return _finish(problem, np.zeros(g.n), "heat-integral", horizon=0.0)
 
-    def horizon(c1: float, c2: float) -> float:
+    def horizon(c2: float) -> float:
         # tail of the time integral beyond T is bounded by c1 * mass * e^{-c2 T} / c2;
         # a ratio that underflows to 0 needs no time, one that overflows none finite
         scale = c2 * tol
-        ratio = c1 * mass / scale if scale > 0.0 else math.inf
+        ratio = _mixing_c1(mv, sub.measure.total, c2) * mass / scale if scale > 0.0 else math.inf
         return max(math.log(ratio) / c2, 1e-6) if ratio != 0.0 else 1e-6
 
-    if spec is None:
-        spread = float(np.max(1.0 / mv)) - 1.0 / sub.measure.total
-
-        def bound(c2: float) -> float:  # c1
-            return spread * math.exp(c2 * min(_T0, 1.0 / c2))
-
-        uvec, c2 = krylov_apply(g, sub.measure, _load(problem),
-                                lambda z, gap: _time_integral(z, horizon(bound(gap), gap)))
-        if c2 == math.inf:  # the load has no part off the constants: u = 0
-            return _finish(problem, uvec, "heat-integral", horizon=0.0)
-        c1 = bound(c2)
-    else:
-        c1, c2 = mixing_constants(spec, min(_T0, 1.0 / spec.spectral_gap))
-    T = horizon(c1, c2)
+    uvec, c2 = _apply(sub, problem, spec, lambda z, gap: _time_integral(z, horizon(gap)))
+    if c2 == math.inf:  # the load has no part off the constants: u = 0
+        return _finish(problem, uvec, "heat-integral", horizon=0.0)
+    c1, T = _mixing_c1(mv, sub.measure.total, c2), horizon(c2)
     if not math.isfinite(T):
         raise IllConditionedError(
             f"heat-integral solve: the horizon is {T}, not finite", c1=c1, gap=c2)
-    if spec is not None:
-        # phi * mu / m extended by zero, as dictated by the boundary sum; the
-        # ratio is 1.0 where mu = m, so a closure's source is phi bit for bit
-        fvec = np.zeros(g.n)
-        fvec[bidx] = flux * (muv / mv[bidx])
-        uvec = heat_time_integral(spec, fvec, T).to_vector(g.vertices)
     uvec -= (uvec @ mv) / sub.measure.total
     # the residual Lu / m - f is the semigroup at T applied to f, which the
     # mixing bound caps at c1 * mass * e^{-c2 T}
