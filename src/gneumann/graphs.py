@@ -386,23 +386,21 @@ class SubgraphClosure(NeumannProblem):
     """Interior set, its vertex boundary, and the induced closure graph,
     as the Neumann problem with mu = m on the vertex boundary.
 
+    Built only by ``closure_subgraph``, which checks that the closure
+    graph is connected, from that graph (its first ``k`` vertices the
+    interior, the rest the vertex boundary) and the measure in its order.
     The closure graph keeps every weight with at least one endpoint in the
-    interior and zeroes all boundary-boundary weights.  Construction
-    enforces connectivity of the closure graph.  ``measure_vector`` and
-    ``boundary_index`` are the measure and the boundary in the closure
-    graph's vertex order, computed once, as is the boundary measure.
+    interior and zeroes all boundary-boundary weights.  Each boundary
+    quantity is a slice of the closure order: ``boundary_index`` is
+    ``k..n-1``, ``measure_vector`` the measure's array and mu its tail.
     """
 
-    def __init__(self, interior: Sequence[str], boundary: Sequence[str],
-                 graph: WeightedGraph, measure: Measure):
-        boundary = tuple(boundary)
-        super().__init__(graph, boundary, measure, measure.restrict(boundary))
-        self.interior = tuple(interior)
-        self.boundary_set = frozenset(self.boundary)
-        self.measure_vector = measure.to_vector(graph.vertices)
-        self.boundary_index = np.array([graph.index(y) for y in self.boundary], dtype=np.intp)
-        for a in (self.measure_vector, self.boundary_index):
-            a.flags.writeable = False
+    def __init__(self, graph: WeightedGraph, k: int, measure: Measure):
+        V, self.measure_vector = graph.vertices, measure.array
+        super().__init__(graph, V[k:], measure, Measure.from_vector(V[k:], measure.array[k:]))
+        self.interior, self.boundary_set = V[:k], frozenset(V[k:])
+        self.boundary_index = np.arange(k, graph.n)
+        self.boundary_index.flags.writeable = False
 
     @property
     def closure(self) -> tuple[str, ...]:
@@ -481,9 +479,8 @@ def closure_subgraph(g: WeightedGraph, interior: Iterable, m: Measure) -> Subgra
     """
     inside = _check_interior(g, interior)
     closure = np.concatenate((np.flatnonzero(inside), np.flatnonzero(_boundary_mask(g, inside))))
-    V = g.vertices
-    A = [V[i] for i in closure[:np.count_nonzero(inside)].tolist()]
-    boundary = [V[i] for i in closure[len(A):].tolist()]
+    names = [g.vertices[i] for i in closure.tolist()]  # the interior first
+    k = int(np.count_nonzero(inside))
 
     # any positive edge with one endpoint interior has its other endpoint in
     # the closure by definition of the vertex boundary; the kept edges go in
@@ -492,16 +489,16 @@ def closure_subgraph(g: WeightedGraph, interior: Iterable, m: Measure) -> Subgra
     kept = (rows < cols) & (inside[rows] | inside[cols])
     at = np.zeros(g.n, dtype=np.intp)  # closure index of each ambient vertex
     at[closure] = np.arange(len(closure))
-    induced = WeightedGraph.from_arrays(A + boundary, at[rows[kept]], at[cols[kept]], g.data[kept])
+    induced = WeightedGraph.from_arrays(names, at[rows[kept]], at[cols[kept]], g.data[kept])
     if not is_connected(induced):
         raise DisconnectedClosureError(
             "closure graph is disconnected (boundary-boundary edges removed)",
-            interior=A, boundary=boundary,
+            interior=names[:k], boundary=names[k:],
         )
     try:
-        m_closure = m.restrict(A + boundary)
+        m_closure = m.restrict(names)
     except UnknownVertexError as e:
         raise DomainMismatchError(
             "measure is not defined on the whole closure", cause=str(e)
         ) from e
-    return SubgraphClosure(A, boundary, induced, m_closure)
+    return SubgraphClosure(induced, k, m_closure)

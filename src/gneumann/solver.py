@@ -66,8 +66,10 @@ RESIDUAL_RTOL = 1e-6
 # 1024 it takes about 26 ms and its system is 8 MB); above, conjugate
 # gradients, with the LU as fallback
 DENSE_MAX_N = 1024
-# conjugate gradients stop once ||b - L u||_2 <= CG_RTOL * ||b||_2
+# conjugate gradients stop once ||b - L u||_2 <= CG_RTOL * ||b||_2, and give up
+# after _CG_STALL steps that do not halve the best residual norm
 CG_RTOL = 1e-14
+_CG_STALL = 512
 
 
 @dataclass(frozen=True)
@@ -332,7 +334,9 @@ def solve_heat_integral(sub: NeumannProblem, phi, spec: Spectrum | None = None,
 def _jacobi_cg(g: WeightedGraph, b: np.ndarray, steps: int) -> np.ndarray | None:
     """A u with L u = b by conjugate gradients from u = 0 with the Jacobi
     preconditioner 1 / deg, or None when the residual r = b - L u does not
-    reach ||r|| <= CG_RTOL ||b|| within ``steps`` steps or a step's p . L p
+    reach ||r|| <= CG_RTOL ||b|| within ``steps`` steps, when it stalls (its
+    best ||r|| is not halved within ``_CG_STALL`` steps: data that L u = b
+    cannot meet, or a spectrum CG cannot resolve) or when a step's p . L p
     (or r . r / deg) is not finite and positive.
 
     L applies through the CSR arrays and every reduction is an ``np.sum``
@@ -353,10 +357,14 @@ def _jacobi_cg(g: WeightedGraph, b: np.ndarray, steps: int) -> np.ndarray | None
         z = r * inv
         p = z
         rz = float(np.sum(r * z))
+        best, since = math.inf, 0  # the residual norm last halved, and its step
         for k in range(steps + 1):
-            if math.sqrt(float(np.sum(r * r))) <= stop:
+            norm = math.sqrt(float(np.sum(r * r)))
+            if norm <= stop:
                 return np.ldexp(u, e)
-            if k == steps:
+            if norm <= 0.5 * best:
+                best, since = norm, k
+            if k == steps or k - since >= _CG_STALL:
                 break
             q = _laplacian(g, p)
             pq = float(np.sum(p * q))
@@ -378,9 +386,9 @@ def solve_direct(sub: NeumannProblem, phi) -> NeumannSolution:
     residual gate judges the result of either solver below.
 
     Above ``DENSE_MAX_N`` vertices, Jacobi-preconditioned conjugate
-    gradients (``_jacobi_cg``, at most n steps) solve L u = phi * mu on
-    the CSR arrays, and u is then centered in m: O(nnz) per step and a few
-    n-vectors of memory, with bits that do not depend on the CPU count.
+    gradients (``_jacobi_cg``, at most n steps, fewer if they stall) solve
+    L u = phi * mu on the CSR arrays, then u is centered in m: O(nnz) a
+    step, a few n-vectors of memory, and bits independent of the CPU count.
     Up to that size, and whenever CG fails, numpy's dense LU (LAPACK
     ``dgesv``) solves the (n+1) x (n+1) system of L with the centering row
     appended, filled straight from the CSR arrays, L into its top-left

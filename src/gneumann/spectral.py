@@ -115,9 +115,9 @@ def eigendecompose(g: WeightedGraph, m: Measure) -> Spectrum:
     The eigensolve is LAPACK's divide-and-conquer ``dsyevd`` (Gu &
     Eisenstat, 1995) through ``numpy.linalg.eigh``.  A connected graph has
     exactly one zero mode, so the smallest eigenvalue is set to 0.0; the
-    spectrum is refused when the next one is below the eigensolver's
+    spectrum is refused when the next one is at most the eigensolver's
     backward error n * eps * lambda_max, where roundoff cannot tell it
-    from zero.  An S with an entry that overflows is refused before the
+    from zero, as it is when S underflows to 0 and that bound is 0.  An S with an entry that overflows is refused before the
     eigensolve, and so is a spectrum that LAPACK does not converge on or
     that comes back not finite.
     """
@@ -161,7 +161,7 @@ def eigendecompose(g: WeightedGraph, m: Measure) -> Spectrum:
     psi *= np.where(psi[first, np.arange(psi.shape[1])] < 0, -1.0, 1.0)
 
     floor = g.n * np.finfo(float).eps * float(w[-1])
-    n_zero = 1 + int(np.count_nonzero(w[1:] < floor))
+    n_zero = 1 + int(np.count_nonzero(w[1:] <= floor))
     if n_zero > 1:
         raise IllConditionedError(
             f"expected exactly one zero mode on a connected graph, found {n_zero}: "
