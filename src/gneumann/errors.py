@@ -109,7 +109,8 @@ class HorizonExceededError(GneumannError):
     code = "HorizonExceeded"
 
 
-class InputError(GneumannError):
-    """Malformed input file or inconsistent CLI arguments."""
+class InputError(GneumannError, ValueError):
+    """Malformed input file, inconsistent CLI arguments, or an argument a
+    library function cannot take; also a ``ValueError``."""
 
     code = "InputError"

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import IllConditionedError, InputError
 from .forms import VertexFunction
 from .graphs import Measure, WeightedGraph, build_graph
 from .spectral import KernelMatrix, Spectrum
@@ -229,9 +229,13 @@ class _Table:
     label and its row of ``values`` as ``fmt`` cells ("%.17g"), formatted
     in one step from a template.  ``csv.writer`` never quotes such cells,
     so the bytes are the ones it writes, at a fraction of the cost.  The
-    CSV writers and the ``kernel`` command's pool share this formatter."""
+    CSV writers and the ``kernel`` command's pool share this formatter.
+    Values that are not all finite are an ``IllConditionedError`` here,
+    before any file is opened."""
 
     def __init__(self, header: Sequence[str], labels: Sequence[str], values: np.ndarray):
+        if not np.isfinite(values).all():
+            raise IllConditionedError("a table value is not finite: it overflows the float range")
         self.header = ",".join(header) + "\r\n"
         self.labels, self.values = labels, values
         self._row = "%s," + ",".join(["%.17g"] * values.shape[1]) + "\r\n"

@@ -411,7 +411,10 @@ def solve_direct(sub: NeumannProblem, phi) -> NeumannSolution:
     K = np.zeros((n + 1, n + 1))
     g.laplacian_into(K[:n, :n])
     K[:n, n] = K[n, :n] = mv
-    uvec = np.linalg.solve(K, np.append(load, 0.0))[:n]
+    try:
+        uvec = np.linalg.solve(K, np.append(load, 0.0))[:n]
+    except np.linalg.LinAlgError as e:  # an exact zero pivot
+        raise IllConditionedError(f"the dense LU failed: {e}") from e
     return _finish(problem, uvec, "direct")
 
 

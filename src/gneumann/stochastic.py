@@ -31,12 +31,13 @@ A walk that cannot end is refused before it starts, with an
 not finite, or T times the largest rate at 2^52 or above, where the
 clock ``t += hold`` stops advancing.
 
-Parallelism: the estimator walks its paths in spans (of ``_ROWS_SPAN``
-paths when it records holds), on a fork pool with one worker per CPU of
-the process's affinity mask, which ``taskset`` restricts, once a job has
-``_POOL_HOLDS`` expected holds.  Results come back in span order and each
-path depends only on (seed, i), so every output is byte-identical to the
-serial run on any number of CPUs.  Pool workers die with their parent.
+Parallelism: the estimator walks its paths in spans (of ``_BATCH`` paths,
+or of ``_ROWS_HOLDS`` expected holds when it records them), on a fork pool
+with one worker per CPU of the process's affinity mask, which ``taskset``
+restricts, once a job has ``_POOL_HOLDS`` expected holds.  Results come
+back in span order and each path depends only on (seed, i), so every
+output is byte-identical to the serial run on any number of CPUs.  Pool
+workers die with their parent.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ import numpy as np
 from .errors import (
     HorizonExceededError,
     IllConditionedError,
+    InputError,
     NonpositiveHorizonError,
     UnknownVertexError,
 )
@@ -72,15 +74,15 @@ __all__ = [
 ]
 
 _BLOCK = 1024  # uniforms per refill of the single-path walker
-_BATCH = 4096  # paths per _walk_paths call
+_BATCH = 2**14  # paths per _walk_paths call
 _REFILL = 8192  # draw blocks per refill of _walk_paths, across its live paths
 _MAX_BLOCKS = 64  # draw blocks per path and refill, when few paths are live
 # expected holds from which a job runs on a pool: starting, using and
 # closing one costs 20-35 ms, the time of about 6e4 holds of _walk_paths
 _POOL_HOLDS = 2**15
-# paths per span of a walk that records its holds, whose record and rows
-# are held at once where the span is walked
-_ROWS_SPAN = 256
+# expected holds per span of a walk that records them, whose record and
+# rows are held at once where the span is walked
+_ROWS_HOLDS = 2**14
 _PR_SET_PDEATHSIG = 1  # prctl(2) option: the signal a process gets when its parent dies
 
 
@@ -320,11 +322,9 @@ def _walk_paths(chain: _ChainParams, i0: int, T: float, seed: int,
                 hold = neglog / rate
             if steps is not None:
                 steps.append((live, x, hold))
-            w = weights[x]
-            hit = w != 0.0
-            if hit.any():
-                th, hh = t[hit], hold[hit]
-                acc[hit] += w[hit] * np.where(th + hh < T, hh, T - th)
+            # the overlap is finite (a hold of inf takes T - t), so a weight
+            # of 0.0 or -0.0 leaves acc as it is
+            acc += weights[x] * np.where(t + hold < T, hold, T - t)
             t += hold
             going = t < T
             if not going.all():
@@ -558,15 +558,15 @@ def _estimator(sub: NeumannProblem, phi, x0, T: float, N: int, seed: int):
 
     ``run()`` walks the N paths once, in spans of ``_BATCH`` paths on
     ``_map_spans``, and returns the estimate.  ``run(rows, write)`` also
-    records every hold, in spans of ``_ROWS_SPAN`` paths: where a span is
-    walked, in a pool worker or here, ``rows`` turns the span's
-    ``_recorded_holds`` into a result that ``write`` receives here, in
-    path order.
+    records every hold, in spans of ``_ROWS_HOLDS`` expected holds (at
+    least one path): where a span is walked, in a pool worker or here,
+    ``rows`` turns the span's ``_recorded_holds`` into a result that
+    ``write`` receives here, in path order.
     """
     T = _check_horizon(T)
-    if int(N) < 2:
-        raise ValueError(f"need at least 2 samples, got {N}")
     N = int(N)
+    if N < 2:
+        raise InputError(f"need at least 2 samples, got {N}", samples=N)
     x0 = str(x0)
     g, m = sub.graph, sub.measure
     i0 = _start_index(g, x0)
@@ -586,7 +586,8 @@ def _estimator(sub: NeumannProblem, phi, x0, T: float, N: int, seed: int):
             return vals, None if rows is None else rows(*_recorded_holds(record, lo, hi - lo))
 
         parts = []
-        for vals, result in _map_spans(walk, N, _BATCH if rows is None else _ROWS_SPAN, holds):
+        span = _BATCH if rows is None else max(1, int(_ROWS_HOLDS * N / holds))
+        for vals, result in _map_spans(walk, N, span, holds):
             parts.append(vals)
             if rows is not None:
                 write(result)
@@ -610,13 +611,14 @@ def occupation_density(paths: Sequence[SamplePath], t: float, y, m: Measure) -> 
     """Fraction of paths sitting at y at time t, divided by m(y): an
     unbiased estimator of the heat kernel from the shared start vertex."""
     if not paths:
-        raise ValueError("need at least one path")
+        raise InputError("need at least one path", paths=0)
     start = paths[0].states[0]
     y = str(y)
     hits = 0
     for p in paths:
         if p.states[0] != start:
-            raise ValueError("paths do not share a start vertex")
+            raise InputError("paths do not share a start vertex", start=start,
+                             other=p.states[0])
         if t > p.horizon:
             raise HorizonExceededError(
                 f"time {t} exceeds path horizon {p.horizon}", time=t, horizon=p.horizon
