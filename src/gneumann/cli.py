@@ -29,14 +29,7 @@ from .solver import (
     solve_green,
     solve_heat_integral,
 )
-from .spectral import (
-    _check_time,
-    _time_integral,
-    eigendecompose,
-    green_kernel,
-    heat_kernel,
-    krylov_apply,
-)
+from .spectral import _check_time, _heat_integral, eigendecompose, green_kernel, heat_kernel
 from .stochastic import _estimator, _map_spans, _occupation_weights, mc_estimate_measure
 from .verification import run_all_suites
 
@@ -242,10 +235,9 @@ def _cmd_simulate(config: argparse.Namespace) -> int:
         est = mc_estimate_measure(g, problem.boundary, m, problem.boundary_measure(), phi, *job)
 
     # the same finite-horizon expectation as reference: the heat-time
-    # integral of f m by Lanczos, plus its zero mode T (f . m) / m(X)
+    # integral of f m, by Lanczos
     load = _occupation_weights(problem, phi) * m.to_vector(g.vertices)
-    u, _ = krylov_apply(g, m, load, lambda z, gap: _time_integral(z, config.T))
-    ref = float(u[g.index(str(config.start))]) + config.T * sum(load.tolist()) / m.total
+    ref = float(_heat_integral(g, m, load, config.T)[g.index(str(config.start))])
     out = _out_dir(config)
 
     if config.dump_paths:

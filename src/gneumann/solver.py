@@ -16,10 +16,10 @@ Jacobi-preconditioned conjugate gradients on those arrays above
 ``DENSE_MAX_N`` vertices, and by numpy's dense LU of the augmented
 system, filled from them, up to that size or when CG fails.  The Green
 and heat routes have one body each, which applies their function of the
-Laplacian to the boundary load by Lanczos (``spectral.krylov_apply``),
-with no n x n array, or over the modes of a given ``Spectrum``, its exact
-basis.  All routes return the same centered solution up to numerical
-tolerance, which the test suites exploit as a cross-check.
+Laplacian to the boundary load by the one step ``spectral._apply``: by
+Lanczos, with no n x n array, or over the modes of a given ``Spectrum``,
+its exact basis.  All routes return the same centered solution up to
+numerical tolerance, which the test suites exploit as a cross-check.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import (
 )
 from .forms import VertexFunction, _as_function, _laplacian
 from .graphs import Measure, NeumannProblem, WeightedGraph, is_connected
-from .spectral import Spectrum, _time_integral, check_spectrum_matches, krylov_apply
+from .spectral import Spectrum, _apply, _time_integral, check_spectrum_matches
 
 __all__ = [
     "BoundaryData",
@@ -254,21 +254,6 @@ def _load(problem: tuple) -> np.ndarray:
     return b
 
 
-def _apply(sub: NeumannProblem, problem: tuple, spec: Spectrum | None, fun) -> tuple:
-    """``spectral.krylov_apply`` of ``fun`` to the boundary load: by Lanczos,
-    or summed over the nonzero modes of ``spec``, the exact basis Lanczos
-    approximates once its Krylov space is exhausted, O(n |B|) work with
-    the exact gap (zeros and a gap of inf when there is no nonzero mode)."""
-    if spec is None:
-        return krylov_apply(sub.graph, sub.measure, _load(problem), fun)
-    lam, psi = spec.eigenvalues[1:], spec.basis[:, 1:]
-    if not len(lam):  # a single vertex
-        return np.zeros(sub.graph.n), math.inf
-    _, _, bidx, flux, muv = problem
-    gap = float(lam[0])
-    return psi @ (fun(lam, gap) * (psi[bidx].T @ (flux * muv))), gap
-
-
 def _mixing_c1(mv: np.ndarray, total: float, gap: float, t0: float = _T0) -> float:
     """c1 of the mixing bound |p_t(x,y) - 1/m(X)| <= c1 e^{-gap t} from t =
     min(t0, 1/gap) on: e^{gap t} max_x (1/m(x) - 1/m(X)), above the
@@ -280,10 +265,10 @@ def _mixing_c1(mv: np.ndarray, total: float, gap: float, t0: float = _T0) -> flo
 def solve_green(sub: NeumannProblem, phi, spec: Spectrum | None = None) -> NeumannSolution:
     """Green-kernel route: u(x) = sum over boundary y of
     phi(y) g(x,y) mu(y); centered automatically since the kernel rows
-    integrate to zero.  ``_apply`` takes 1/z to the boundary load, by
-    Lanczos or over the modes of ``spec``, with no kernel formed."""
+    integrate to zero.  ``spectral._apply`` takes 1/z to the boundary
+    load, by Lanczos or over the modes of ``spec``, with no kernel formed."""
     problem = _problem(sub, phi, spec=spec)
-    uvec, _ = _apply(sub, problem, spec, lambda z, gap: 1.0 / z)
+    uvec, _ = _apply(sub.graph, sub.measure, _load(problem), lambda z, gap: 1.0 / z, spec)
     return _finish(problem, uvec, "green")
 
 
@@ -292,8 +277,8 @@ def solve_heat_integral(sub: NeumannProblem, phi, spec: Spectrum | None = None,
     """Heat-semigroup route: the time integral of the heat semigroup
     applied to the boundary data, up to a horizon T, then recentered.
 
-    The source is phi * mu / m on the boundary: ``_apply`` takes each
-    mode's weight (1 - e^{-z T}) / z to the boundary load.  T is chosen
+    The source is phi * mu / m on the boundary: ``spectral._apply`` takes
+    each mode's weight (1 - e^{-z T}) / z to the boundary load.  T is chosen
     from the mixing bound |p_t(x,y) - 1/m(X)| <= c1 e^{-c2 t}, c2 the gap
     bound of ``_apply`` and c1 the one rule of ``_mixing_c1``, so that the
     neglected tail is below ``tol`` in sup norm.
@@ -317,7 +302,8 @@ def solve_heat_integral(sub: NeumannProblem, phi, spec: Spectrum | None = None,
         ratio = _mixing_c1(mv, sub.measure.total, c2) * mass / scale if scale > 0.0 else math.inf
         return max(math.log(ratio) / c2, 1e-6) if ratio != 0.0 else 1e-6
 
-    uvec, c2 = _apply(sub, problem, spec, lambda z, gap: _time_integral(z, horizon(gap)))
+    uvec, c2 = _apply(sub.graph, sub.measure, _load(problem),
+                      lambda z, gap: _time_integral(z, horizon(gap)), spec)
     if c2 == math.inf:  # the load has no part off the constants: u = 0
         return _finish(problem, uvec, "heat-integral", horizon=0.0)
     c1, T = _mixing_c1(mv, sub.measure.total, c2), horizon(c2)

@@ -250,6 +250,30 @@ def _time_integral(z: np.ndarray, T: float) -> np.ndarray:
     return -np.expm1(-z * T) / z
 
 
+def _apply(g: WeightedGraph, m: Measure, load: np.ndarray, fun,
+           spec: Spectrum | None = None) -> tuple[np.ndarray, float]:
+    """``krylov_apply`` of ``fun`` to ``load``: by Lanczos, or summed over
+    the nonzero modes of ``spec`` on the load's nonzero rows, the exact
+    basis Lanczos approximates once its Krylov space is exhausted, O(n |rows|)
+    work with the exact gap (zeros and a gap of inf with no nonzero mode)."""
+    if spec is None:
+        return krylov_apply(g, m, load, fun)
+    lam, psi = spec.eigenvalues[1:], spec.basis[:, 1:]
+    if not len(lam):  # a single vertex
+        return np.zeros(g.n), math.inf
+    rows = np.flatnonzero(load)
+    gap = float(lam[0])
+    return psi @ (fun(lam, gap) * (psi[rows].T @ load[rows])), gap
+
+
+def _heat_integral(g: WeightedGraph, m: Measure, load: np.ndarray, T: float,
+                   spec: Spectrum | None = None) -> np.ndarray:
+    """x -> sum_y integral_0^T p_s(x, y) load(y) ds: ``_apply`` of each
+    mode's weight (1 - e^{-z T}) / z, plus the zero mode T sum(load) / m(X)."""
+    u, _ = _apply(g, m, load, lambda z, gap: _time_integral(z, T), spec)
+    return u + T * sum(load.tolist()) / m.total
+
+
 def heat_time_integral(spec: Spectrum, f, T: float) -> VertexFunction:
     """Time integral over [0, T] of the heat semigroup applied to f m:
 
@@ -265,12 +289,7 @@ def heat_time_integral(spec: Spectrum, f, T: float) -> VertexFunction:
     f = np.asarray(f, dtype=float)
     if f.shape != (spec.graph.n,):
         raise DomainMismatchError("f is not a vector on the spectrum's vertices", shape=f.shape)
-    coef = spec.basis.T @ (spec.measure_vector * f)
-    lam = spec.eigenvalues
-    weights = np.empty_like(lam)
-    weights[0] = T
-    weights[1:] = _time_integral(lam[1:], T)
-    out = spec.basis @ (weights * coef)
+    out = _heat_integral(spec.graph, spec.measure, spec.measure_vector * f, T, spec)
     return VertexFunction.from_vector(spec.vertices, out)
 
 
@@ -285,8 +304,9 @@ def krylov_apply(g: WeightedGraph, m: Measure, v, fun) -> tuple[np.ndarray, floa
     """M^{-1/2} fun(S) M^{-1/2} v off the constants, by Lanczos, with a
     lower bound on the spectral gap; M = diag(m), v a vector in vertex
     order.  In the eigenfunctions psi_k of the Laplacian it is the sum over
-    the nonzero modes of fun(lambda_k) psi_k (psi_k . v): with v = f m,
-    ``heat_time_integral`` with weights fun but without its zero mode.
+    the nonzero modes of fun(lambda_k) psi_k (psi_k . v): with v = f m and
+    the weights of ``_time_integral``, ``heat_time_integral`` without its
+    zero mode.
 
     Lanczos runs on S from M^{-1/2} v projected off S's null vector
     M^{1/2} 1 (Saad, SIAM J. Numer. Anal. 1992; Hochbruck & Lubich, SIAM

@@ -58,7 +58,7 @@ from .errors import (
     UnknownVertexError,
 )
 from .graphs import Measure, NeumannProblem, WeightedGraph
-from .solver import _problem
+from .solver import _load, _problem
 
 __all__ = [
     "SamplePath",
@@ -544,10 +544,8 @@ def _occupation_weights(sub: NeumannProblem, phi) -> np.ndarray:
     """phi * mu / m on the boundary and 0 elsewhere, in the graph's vertex
     order: the rate at which the boundary integral accrues at each vertex.
     phi passes ``solver._problem``'s check, centered or not."""
-    g, mv, bidx, flux, muv = _problem(sub, phi, centered=False)
-    weights = np.zeros(g.n)
-    weights[bidx] = flux * muv / mv[bidx]
-    return weights
+    problem = _problem(sub, phi, centered=False)
+    return _load(problem) / problem[1]
 
 
 def _estimator(sub: NeumannProblem, phi, x0, T: float, N: int, seed: int):
