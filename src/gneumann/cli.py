@@ -234,8 +234,7 @@ def _cmd_simulate(config: argparse.Namespace) -> int:
     else:
         est = mc_estimate_measure(g, problem.boundary, m, problem.boundary_measure(), phi, *job)
 
-    # the same finite-horizon expectation as reference: the heat-time
-    # integral of f m, by Lanczos
+    # the reference: the same finite-horizon expectation, by Lanczos
     load = _occupation_weights(problem, phi) * m.to_vector(g.vertices)
     ref = float(_heat_integral(g, m, load, config.T)[g.index(str(config.start))])
     out = _out_dir(config)

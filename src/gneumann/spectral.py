@@ -252,10 +252,9 @@ def _time_integral(z: np.ndarray, T: float) -> np.ndarray:
 
 def _apply(g: WeightedGraph, m: Measure, load: np.ndarray, fun,
            spec: Spectrum | None = None) -> tuple[np.ndarray, float]:
-    """``krylov_apply`` of ``fun`` to ``load``: by Lanczos, or summed over
-    the nonzero modes of ``spec`` on the load's nonzero rows, the exact
-    basis Lanczos approximates once its Krylov space is exhausted, O(n |rows|)
-    work with the exact gap (zeros and a gap of inf with no nonzero mode)."""
+    """``krylov_apply`` of ``fun`` to ``load``, or, given ``spec``, its exact
+    form: the sum over the nonzero modes on the load's nonzero rows, with
+    the exact gap (zeros and a gap of inf with no nonzero mode)."""
     if spec is None:
         return krylov_apply(g, m, load, fun)
     lam, psi = spec.eigenvalues[1:], spec.basis[:, 1:]
@@ -311,10 +310,13 @@ def krylov_apply(g: WeightedGraph, m: Measure, v, fun) -> tuple[np.ndarray, floa
     Lanczos runs on S from M^{-1/2} v projected off S's null vector
     M^{1/2} 1 (Saad, SIAM J. Numer. Anal. 1992; Hochbruck & Lubich, SIAM
     J. Numer. Anal. 1997), applying S through the CSR arrays.  Each new
-    vector is orthogonalized twice against the null vector and every
-    earlier one, which are kept in a basis that grows with the steps
-    taken.  After k steps the iterate is |r_0| Q_k fun(T_k) e_1, from the
-    eigendecomposition T_k = Y diag(z) Y^T of the k x k tridiagonal matrix.
+    vector is orthogonalized against the null vector and every earlier
+    one, which are kept in a basis that grows with the steps taken, by
+    one classical Gram-Schmidt pass, repeated only when it leaves at most
+    1/sqrt(2) of the vector's norm (Daniel, Gragg, Kaufman & Stewart,
+    Math. Comp. 1976); the last pass's norm is beta.  After k steps
+    the iterate is |r_0| Q_k fun(T_k) e_1, from the eigendecomposition
+    T_k = Y diag(z) Y^T of the k x k tridiagonal matrix.
 
     ``fun(z, gap)`` maps the Ritz values z, all positive, and ``gap`` to
     the weights.  ``gap`` is z_1 - |beta_k y_{k,1}| - k eps max z: the
@@ -343,17 +345,20 @@ def krylov_apply(g: WeightedGraph, m: Measure, v, fun) -> tuple[np.ndarray, floa
     Q[0] = np.sqrt(mv)
     Q[0] /= _norm(Q[0])
 
-    def orthogonalize(w: np.ndarray, k: int) -> np.ndarray:
+    def orthogonalize(w: np.ndarray, k: int) -> tuple[np.ndarray, float]:
+        before = _norm(w)
         for _ in range(2):
             w = w - np.einsum("kn,k->n", Q[:k + 1], np.einsum("kn,n->k", Q[:k + 1], w))
-        return w
+            after = _norm(w)
+            if not after <= math.sqrt(0.5) * before:
+                break
+        return w, after
 
     # v scaled by a power of two to below 1 in size, exactly, so that
     # M^-1/2 v underflows only where it is negligible; undone at the end
     v = np.asarray(v, dtype=float)
     e = int(np.frexp(np.max(np.abs(v), initial=0.0))[1])
-    r = orthogonalize(inv * np.ldexp(v, -e), 0)
-    beta0 = _norm(r)
+    r, beta0 = orthogonalize(inv * np.ldexp(v, -e), 0)
     if not math.isfinite(beta0):
         raise IllConditionedError("Lanczos: the start vector M^-1/2 v is not finite")
     if beta0 == 0.0:
@@ -372,8 +377,7 @@ def krylov_apply(g: WeightedGraph, m: Measure, v, fun) -> tuple[np.ndarray, floa
         w -= a * Q[k]
         if k > 1:
             w -= beta[-1] * Q[k - 1]
-        r = orthogonalize(w, k)
-        b = _norm(r)
+        r, b = orthogonalize(w, k)
         if not (math.isfinite(a) and math.isfinite(b)):
             raise IllConditionedError(
                 f"Lanczos step {k} is not finite: the measure-scaled Laplacian overflows",
