@@ -22,6 +22,7 @@ from .errors import GneumannError, InputError
 from .graphs import NeumannProblem, closure_subgraph
 from .solver import (
     BoundaryData,
+    _load,
     _problem,
     check_compatibility,
     is_compatible,
@@ -30,7 +31,7 @@ from .solver import (
     solve_heat_integral,
 )
 from .spectral import _check_time, _heat_integral, eigendecompose, green_kernel, heat_kernel
-from .stochastic import _estimator, _map_spans, _occupation_weights, mc_estimate_measure
+from .stochastic import _estimator, _map_spans, mc_estimate_measure
 from .verification import run_all_suites
 
 __all__ = ["main"]
@@ -235,7 +236,7 @@ def _cmd_simulate(config: argparse.Namespace) -> int:
         est = mc_estimate_measure(g, problem.boundary, m, problem.boundary_measure(), phi, *job)
 
     # the reference: the same finite-horizon expectation, by Lanczos
-    load = _occupation_weights(problem, phi) * m.to_vector(g.vertices)
+    load = _load(_problem(problem, phi, centered=False))
     ref = float(_heat_integral(g, m, load, config.T)[g.index(str(config.start))])
     out = _out_dir(config)
 

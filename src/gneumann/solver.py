@@ -131,18 +131,19 @@ def check_compatibility(phi: BoundaryData) -> float:
     return sum((phi.values.array * phi.measure.to_vector(phi.values.vertices)).tolist())
 
 
-def is_compatible(phi: BoundaryData, rtol: float = COMPATIBILITY_RTOL) -> bool:
+def is_compatible(phi: BoundaryData) -> bool:
     total = check_compatibility(phi)
     mass = sum((np.abs(phi.values.array) * phi.measure.to_vector(phi.values.vertices)).tolist())
-    return abs(total) <= rtol * max(1.0, mass)
+    return abs(total) <= COMPATIBILITY_RTOL * max(1.0, mass)
 
 
 def _residuals(g: WeightedGraph, mv: np.ndarray, bidx: np.ndarray, flux: np.ndarray,
                muv: np.ndarray, uvec: np.ndarray) -> tuple:
     """Largest Laplacian residual |Lu| / m off the boundary, largest
     weak-identity mismatch |(Lu)(y) - phi(y) mu(y)| / mu(y) on it, the
-    centering total, and these residuals row by row with the weight (m or
-    mu) each row is divided by."""
+    centering total u . m (an ``np.sum``, whose bits no BLAS kernel
+    changes), and these residuals row by row with the weight (m or mu)
+    each row is divided by."""
     r = _laplacian(g, uvec)
     r[bidx] -= flux * muv
     w = mv.copy()
@@ -150,7 +151,8 @@ def _residuals(g: WeightedGraph, mv: np.ndarray, bidx: np.ndarray, flux: np.ndar
     rel = np.abs(r) / w
     off = np.ones(g.n, dtype=bool)
     off[bidx] = False
-    return float(np.max(rel[off], initial=0.0)), float(np.max(rel[bidx])), float(uvec @ mv), rel, w
+    centering = float(np.sum(uvec * mv))
+    return float(np.max(rel[off], initial=0.0)), float(np.max(rel[bidx])), centering, rel, w
 
 
 def _problem(sub: NeumannProblem, phi, centered: bool = True, spec: Spectrum | None = None) -> tuple:
@@ -275,7 +277,8 @@ def solve_green(sub: NeumannProblem, phi, spec: Spectrum | None = None) -> Neuma
 def solve_heat_integral(sub: NeumannProblem, phi, spec: Spectrum | None = None,
                         tol: float = 1e-10) -> NeumannSolution:
     """Heat-semigroup route: the time integral of the heat semigroup
-    applied to the boundary data, up to a horizon T, then recentered.
+    applied to the boundary data, up to a horizon T; centered, as the
+    Green route, since ``spectral._apply`` sums only the nonzero modes.
 
     The source is phi * mu / m on the boundary: ``spectral._apply`` takes
     each mode's weight (1 - e^{-z T}) / z to the boundary load.  T is chosen
@@ -310,7 +313,6 @@ def solve_heat_integral(sub: NeumannProblem, phi, spec: Spectrum | None = None,
     if not math.isfinite(T):
         raise IllConditionedError(
             f"heat-integral solve: the horizon is {T}, not finite", c1=c1, gap=c2)
-    uvec -= (uvec @ mv) / sub.measure.total
     # the residual Lu / m - f is the semigroup at T applied to f, which the
     # mixing bound caps at c1 * mass * e^{-c2 T}
     return _finish(problem, uvec, "heat-integral", horizon=T,

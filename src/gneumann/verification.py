@@ -60,10 +60,10 @@ def _result(passed: bool, max_error: float, tolerance: float, **extra) -> dict:
     return out
 
 
-def check_gauss_green(sub: SubgraphClosure, n_pairs: int = 50, seed: int = 0,
-                      tol: float = 1e-10) -> dict:
+def check_gauss_green(sub: SubgraphClosure, seed: int = 0) -> dict:
     """Energy form against interior Laplacian plus boundary flux, for
     random function pairs on the closure."""
+    n_pairs, tol = 50, 1e-10
     rng = np.random.default_rng(seed % 2**64)
     g = sub.graph
     b = sub.boundary_index
@@ -126,10 +126,10 @@ def check_kernel_bounds(spec: Spectrum, tol: float = 1e-10) -> dict:
     return _result(worst <= tol, worst, tol)
 
 
-def check_heat_equation(spec: Spectrum, ratio_range=(3.0, 5.0)) -> dict:
+def check_heat_equation(spec: Spectrum) -> dict:
     """Central finite differences of the kernel in time match minus the
-    Laplacian applied to it, with the second-order error ratio ~4 when
-    the step halves."""
+    Laplacian applied to it, with the second-order error ratio ~4 (in
+    [3, 5]) when the step halves."""
     lam_max = float(spec.eigenvalues[-1])
     t = 1.0 / lam_max
     h = t / 50.0
@@ -142,15 +142,13 @@ def check_heat_equation(spec: Spectrum, ratio_range=(3.0, 5.0)) -> dict:
     e1 = fd_error(h)
     e2 = fd_error(h / 2)
     ratio = e1 / e2 if e2 > 0 else float("inf")
-    ok = ratio_range[0] <= ratio <= ratio_range[1]
-    return _result(ok, ratio, ratio_range[1], errors=[e1, e2], ratio=ratio,
+    return _result(3.0 <= ratio <= 5.0, ratio, 5.0, errors=[e1, e2], ratio=ratio,
                    expected_ratio=4.0)
 
 
-def check_mixing(spec: Spectrum, t0: float | None = None, n_grid: int = 50,
-                 slack: float = 1e-12) -> dict:
+def check_mixing(spec: Spectrum, t0: float | None = None, n_grid: int = 50) -> dict:
     """Exponential convergence to equilibrium with the returned constants,
-    on a log-spaced time grid starting at t0."""
+    up to roundoff of 1e-12, on a log-spaced time grid starting at t0."""
     if t0 is None:
         t0 = 0.1 / spec.spectral_gap
     c1, c2 = mixing_constants(spec, t0)
@@ -159,7 +157,7 @@ def check_mixing(spec: Spectrum, t0: float | None = None, n_grid: int = 50,
     worst = -np.inf
     for t in grid:
         P = heat_kernel(spec, float(t)).entries
-        bound = c1 * np.exp(-c2 * t) + slack
+        bound = c1 * np.exp(-c2 * t) + 1e-12
         worst = max(worst, float(np.max(np.abs(P - eq)) - bound))
     return _result(worst <= 0.0, worst, 0.0, c1=c1, c2=c2, grid_points=n_grid)
 
@@ -174,9 +172,9 @@ def check_ultracontractivity(spec: Spectrum, tol: float = 1e-10) -> dict:
     return _result(worst <= tol, worst, tol)
 
 
-def check_markov_property(g: WeightedGraph, n_funcs: int = 20, seed: int = 0,
-                          slack: float = 1e-12) -> dict:
+def check_markov_property(g: WeightedGraph, seed: int = 0) -> dict:
     """Clamping to [0,1] never increases the energy."""
+    n_funcs, slack = 20, 1e-12
     rng = np.random.default_rng(seed % 2**64)
     worst = -np.inf
     for _ in range(n_funcs):
@@ -185,8 +183,9 @@ def check_markov_property(g: WeightedGraph, n_funcs: int = 20, seed: int = 0,
     return _result(worst <= slack, worst, slack, functions=n_funcs)
 
 
-def check_green_identity(spec: Spectrum, tol: float = 1e-9) -> dict:
+def check_green_identity(spec: Spectrum) -> dict:
     """Laplacian applied to a Green column gives the centered point mass."""
+    tol = 1e-9
     G = green_kernel(spec).entries
     mv = spec.measure_vector
     lap = _laplacian(spec.graph, G) / mv[:, None]
@@ -195,11 +194,11 @@ def check_green_identity(spec: Spectrum, tol: float = 1e-9) -> dict:
     return _result(worst <= tol, worst, tol)
 
 
-def check_cross_methods(sub: NeumannProblem, spec: Spectrum, phi=None,
-                        seed: int = 0, tol: float = 1e-8) -> dict:
+def check_cross_methods(sub: NeumannProblem, spec: Spectrum, phi=None, seed: int = 0) -> dict:
     """The direct, Green-kernel and heat-integral solutions of a Neumann
     problem agree in sup norm; without ``phi``, on random data centered
     against the boundary measure."""
+    tol = 1e-8
     if phi is None:
         rng = np.random.default_rng(seed % 2**64)
         raw = rng.standard_normal(len(sub.boundary))

@@ -237,7 +237,7 @@ def test_kernel_contract(problem, data):
 def test_verify_contract(problem, data):
     if data.draw(st.booleans()):  # verify without boundary data
         problem = {**problem, "files": {k: v for k, v in problem["files"].items() if k != "phi"}}
-    _run("verify", problem, ["--seed", str(data.draw(st.integers(0, 2**32)))])
+    _run("verify", problem, ["--seed", str(data.draw(st.integers(-2**63, 2**64)))])
 
 
 def _refused(command: str, files: dict, args: list[str]) -> dict:
